@@ -2,9 +2,12 @@
 
 Every Markov matrix maps to exactly one case pattern determined by its
 dimension, minimal-polynomial degree and Jordan structure.  The patterns
-drive the decision engine's dispatch; ``necessary_checks`` collects the
-cheap spectral and combinatorial exclusions that rule out embeddability
-before any logarithm is attempted.
+drive the decision engine's dispatch.  ``analyse`` is the one analysis
+pass (a single ``jordan_structure``, which computes the spectrum once, and
+the case lookup on it); ``screen`` reads that pass's eigenvalues and block
+sizes for the cheap exclusions that rule out embeddability before any
+logarithm is attempted.  ``classify`` and ``necessary_checks`` are their
+validating public forms.
 """
 
 from __future__ import annotations
@@ -206,6 +209,30 @@ def _classify_d4(js: JordanStructure) -> CaseTag:
     raise ClassificationError(f"no d=4 pattern for blocks {js.blocks}")
 
 
+@dataclasses.dataclass(frozen=True)
+class Analysis:
+    """One matrix's Jordan structure and the case it selects."""
+
+    jordan: JordanStructure
+    tag: CaseTag
+
+
+def analyse(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Analysis:
+    """Jordan structure and case pattern of a validated Markov array.
+
+    Raises as :func:`classify` does; the caller has already checked that
+    ``A`` comes from :func:`as_matrix` and passes :func:`is_markov`.
+    """
+    js = jordan_structure(A, tol)
+    # Markov spectra live in the closed unit disk; computed roots clearly
+    # outside it signal an ill-conditioned (near-multiple) root problem
+    for z, _sizes in js.blocks:
+        if abs(z) > 1.0 + 100.0 * tol.spec_cluster:
+            raise IllConditionedError(f"computed eigenvalue {z} outside the unit disk")
+    by_dim = {2: _classify_d2, 3: _classify_d3, 4: _classify_d4}
+    return Analysis(jordan=js, tag=by_dim[A.shape[0]](js))
+
+
 def classify(M: object, tol: Tolerances = DEFAULT_TOL) -> CaseTag:
     """Map a Markov matrix to its unique case pattern.
 
@@ -217,46 +244,26 @@ def classify(M: object, tol: Tolerances = DEFAULT_TOL) -> CaseTag:
     A = as_matrix(M)
     if not is_markov(A, tol):
         raise ValueError("classify expects a Markov matrix")
-    js = jordan_structure(A, tol)
-    # Markov spectra live in the closed unit disk; computed roots clearly
-    # outside it signal an ill-conditioned (near-multiple) root problem
-    for z, _sizes in js.blocks:
-        if abs(z) > 1.0 + 100.0 * tol.spec_cluster:
-            raise IllConditionedError(f"computed eigenvalue {z} outside the unit disk")
-    d = A.shape[0]
-    if d == 2:
-        return _classify_d2(js)
-    if d == 3:
-        return _classify_d3(js)
-    return _classify_d4(js)
+    return analyse(A, tol).tag
 
 
-def necessary_checks(M: object, tol: Tolerances = DEFAULT_TOL) -> NecessaryReport:
-    """Spectral and combinatorial conditions every embeddable matrix satisfies.
+def screen(A: np.ndarray, blocks, tol: Tolerances = DEFAULT_TOL) -> NecessaryReport:
+    """``necessary_checks`` on a validated array and its eigenvalues.
 
-    diag_positive   : all diagonal entries strictly positive
-    det_positive    : det(M) > 0
-    unit_circle_ok  : every eigenvalue != 1 has modulus < 1
-    culver_ok       : nonsingular, and Jordan blocks of negative eigenvalues
-                      occur with even multiplicity per block size
-    transitivity_ok : m_ik > 0 and m_kj > 0 imply m_ij > 0
+    ``blocks`` is :attr:`JordanStructure.blocks`; the block sizes are read
+    only when det(A) != 0 (a singular matrix fails Culver's condition).
     """
-    A = as_matrix(M)
     d = A.shape[0]
 
     diag_positive = bool(np.diag(A).min() > tol.nonneg)
     det = float(np.linalg.det(A))
     det_positive = det > 0.0
 
-    spec = eigenvalues(A, tol)
-    unit_circle_ok = all(
-        z == 1.0 or abs(z) < 1.0 - tol.nonneg for z, _ in spec.roots
-    )
+    unit_circle_ok = all(z == 1.0 or abs(z) < 1.0 - tol.nonneg for z, _ in blocks)
 
     culver_ok = abs(det) > 0.0
     if culver_ok:
-        js = jordan_structure(A, tol)
-        for z, sizes in js.blocks:
+        for z, sizes in blocks:
             if z.imag == 0.0 and z.real < -tol.nonneg:
                 for s in set(sizes):
                     if sizes.count(s) % 2 != 0:
@@ -279,3 +286,23 @@ def necessary_checks(M: object, tol: Tolerances = DEFAULT_TOL) -> NecessaryRepor
         culver_ok=culver_ok,
         transitivity_ok=transitivity_ok,
     )
+
+
+def necessary_checks(M: object, tol: Tolerances = DEFAULT_TOL) -> NecessaryReport:
+    """Spectral and combinatorial conditions every embeddable matrix satisfies.
+
+    diag_positive   : all diagonal entries strictly positive
+    det_positive    : det(M) > 0
+    unit_circle_ok  : every eigenvalue != 1 has modulus < 1
+    culver_ok       : nonsingular, and Jordan blocks of negative eigenvalues
+                      occur with even multiplicity per block size
+    transitivity_ok : m_ik > 0 and m_kj > 0 imply m_ij > 0
+
+    The Jordan analysis runs only for a nonsingular M.
+    """
+    A = as_matrix(M)
+    if float(np.linalg.det(A)) != 0.0:
+        blocks = jordan_structure(A, tol).blocks
+    else:
+        blocks = tuple((z, ()) for z, _m in eigenvalues(A, tol).roots)
+    return screen(A, blocks, tol)

@@ -24,7 +24,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .classify import CaseTag, Pattern, classify, necessary_checks
+from .classify import CaseTag, Pattern, analyse, classify, screen
 from .errors import (
     ClassificationError,
     DegenerateDenominatorError,
@@ -909,28 +909,8 @@ def embed_d3_cyclic_real(
     A = as_matrix(M)
     if tag is None:
         tag = classify(A, tol)
-    lams = (
-        [complex(tag.eigen["lambda1"]).real, complex(tag.eigen["lambda2"]).real]
-        if tag.pattern is Pattern.D3_SIMPLE_REAL
-        else [complex(tag.eigen["lambda"]).real]
-    )
-    for lam in lams:
-        gate = _sign_gate(lam, tol)
-        if gate == "boundary":
-            return _undecided(Reason.NEAR_BOUNDARY, tag)
-        if gate == "neg":
-            return _not_embeddable(Reason.NEGATIVE_EIGENVALUE_CULVER, tag)
-    try:
-        coeffs = smt_coeffs(tag, tol=tol)
-    except DegenerateDenominatorError:
-        return _undecided(Reason.ILL_CONDITIONED, tag)
-    Q = poly_in(coeffs, A - np.eye(3))
-    if not is_generator(Q, tol):
-        return _not_embeddable(Reason.LOG_NOT_GENERATOR, tag)
-    cand = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
-    if cand is None:
-        return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
-    return _embeddable([cand], Uniqueness.UNIQUE, tag)
+    keys = sorted(k for k in tag.eigen if k.startswith("lambda"))
+    return _principal_only(A, tag, [complex(tag.eigen[k]).real for k in keys], tol)
 
 
 def _complex_branch_window(lam: complex, slope: float) -> list[int]:
@@ -1130,10 +1110,13 @@ def decide(
 ) -> EmbeddingResult:
     """Full embeddability decision for a Markov matrix of dimension 2-4.
 
-    Runs the necessary-condition screen first, then the case decider for
-    the matrix's pattern.  Numerical failures (ill-conditioned Jordan
-    decisions, inconclusive searches, boundary-ambiguous eigenvalues)
-    surface as Undecided with a reason, never as NotEmbeddable.
+    Validates the input, takes the zero generator within the residual
+    tolerance of the identity, and otherwise analyses the matrix once
+    (spectrum, Jordan structure, case tag), screens that analysis for the
+    necessary conditions (d >= 3; rejections carry the case tag) and runs
+    the case decider for its pattern.  Numerical failures (ill-conditioned
+    Jordan decisions, inconclusive searches, boundary-ambiguous
+    eigenvalues) surface as Undecided with a reason, never as NotEmbeddable.
     """
     A = as_matrix(M)
     if not is_markov(A, tol):
@@ -1150,9 +1133,10 @@ def decide(
         return _embeddable([zero], Uniqueness.UNIQUE, tag)
 
     try:
-        tag = classify(A, tol)
+        analysis = analyse(A, tol)
     except (IllConditionedError, ClassificationError):
         return _undecided(Reason.ILL_CONDITIONED)
+    tag = analysis.tag
 
     if tag.pattern in (Pattern.D2_IDENTITY, Pattern.D3_IDENTITY, Pattern.D4_IDENTITY):
         return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
@@ -1161,7 +1145,7 @@ def decide(
         res = embed_d2(A, tol)
         return dataclasses.replace(res, case=tag)
 
-    report = necessary_checks(A, tol)
+    report = screen(A, analysis.jordan.blocks, tol)
     if not report.det_positive:
         return _not_embeddable(Reason.DET_NONPOSITIVE, tag)
     if not report.diag_positive:

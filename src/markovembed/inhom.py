@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    IllConditionedError,
     NotConvergedError,
     NotTotallyPositiveError,
 )
@@ -184,7 +185,8 @@ def peano_baker(
     Terms satisfy I_{n+1}(t) = integral of I_n Q; each has zero row sums,
     so the partial sums keep unit row sums.  Truncates when the newest
     term drops below ``tol`` in max norm; raises
-    :class:`NotConvergedError` at ``max_terms``.
+    :class:`NotConvergedError` at ``max_terms``, and
+    :class:`IllConditionedError` when a term's row sums drift from zero.
     """
     if not 0.0 <= t <= s.span + 1e-12:
         raise ValueError("t outside the schedule span")
@@ -200,7 +202,9 @@ def peano_baker(
         integrand = np.einsum("tij,tjk->tik", term, values)
         term = _cumulative_simpson(times, integrand)
         size = float(np.abs(term[-1]).max())
-        assert np.abs(term[-1].sum(axis=1)).max() <= 1e-8 * max(1.0, size)
+        drift = float(np.abs(term[-1].sum(axis=1)).max())
+        if drift > 1e-8 * max(1.0, size):
+            raise IllConditionedError(f"series term row sums drifted to {drift:g}")
         total = total + term[-1]
         if size < tol:
             return total

@@ -5,7 +5,8 @@ contract (real, finite, square, dimension 2-4).  Eigenvalues come from
 closed-form root solvers on the characteristic polynomial, with relative
 clustering of near-degenerate roots so that downstream case dispatch sees a
 discrete multiplicity pattern.  Jordan block sizes are recovered from
-numerical rank sequences.
+numerical rank sequences; the ``blocks`` of :func:`jordan_structure` hold
+every clustered eigenvalue, so its callers need no second spectrum.
 
 Matrix exponential and principal logarithm delegate to SciPy's
 scaling-and-squaring / inverse-scaling-and-squaring implementations behind
@@ -15,6 +16,7 @@ the same validated interface.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -67,12 +69,6 @@ class Spectrum:
     @property
     def dim(self) -> int:
         return sum(m for _, m in self.roots)
-
-    def multiplicity(self, value: complex, tol: float = 1e-9) -> int:
-        for z, m in self.roots:
-            if abs(z - value) <= tol * max(1.0, abs(value)):
-                return m
-        return 0
 
     def values(self) -> list[complex]:
         """Eigenvalues repeated by multiplicity."""
@@ -254,27 +250,11 @@ def _consolidate_multiples(
 def _cluster_roots(
     raw: list[complex], threshold: float
 ) -> tuple[list[tuple[complex, int]], bool]:
-    n = len(raw)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(raw[i] - raw[j]) <= threshold:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(raw[i])
-    merged = any(len(g) > 1 for g in groups.values())
+    groups = _group_by_distance(raw, threshold)
+    merged = any(len(g) > 1 for g in groups)
 
     clusters: list[tuple[complex, int]] = []
-    for g in groups.values():
+    for g in groups:
         mean = sum(g) / len(g)
         if abs(mean.imag) <= threshold:
             mean = complex(mean.real, 0.0)
@@ -407,7 +387,10 @@ def principal_log(M: object, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     for z, _ in spec.roots:
         if z.imag == 0.0 and z.real <= tol.nonneg:
             raise SpectrumOnCutError(f"eigenvalue {z.real:g} on the closed negative axis")
-    R, _err = scipy.linalg.logm(A, disp=False)
+    with warnings.catch_warnings():
+        # logm's own error estimate; the residual certificate below decides
+        warnings.filterwarnings("ignore", "logm result may be inaccurate", RuntimeWarning)
+        R = scipy.linalg.logm(A)
     if np.iscomplexobj(R):
         if np.abs(R.imag).max() > 1e-8 * scale_of(A):
             raise IllConditionedError("logarithm has a non-negligible imaginary part")

@@ -1,17 +1,28 @@
+import importlib
 import math
 
 import numpy as np
 
 from markovembed import (
+    DEFAULT_TOL,
+    IllConditionedError,
+    NecessaryReport,
     Pattern,
     Verdict,
     classify,
     decide,
+    eigenvalues,
+    jordan_structure,
     mat_exp,
     necessary_checks,
 )
 
 from conftest import random_generator, random_markov
+
+# the package re-exports the function ``classify`` under the module's name
+classify_mod = importlib.import_module("markovembed.classify")
+embed_mod = importlib.import_module("markovembed.embed")
+kernel_mod = importlib.import_module("markovembed.kernel")
 
 
 def kendall_block(a, b):
@@ -168,3 +179,92 @@ class TestNecessaryChecks:
                 assert decide(M).verdict is not Verdict.EMBEDDABLE
                 checked += 1
         assert checked > 100
+
+
+def analysis_corpus(seed=31):
+    """Seeded d=3/4 corpus: uniform Markov matrices (about half with
+    det <= 0), exp(Q) round trips, their state permutations, and two
+    singular matrices."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for d in (3, 4):
+        for _ in range(30):
+            out.append(random_markov(rng, d))
+        for _ in range(15):
+            out.append(mat_exp(random_generator(rng, d, norm_max=3.0)))
+        for M in out[-10:]:
+            P = np.eye(d)[rng.permutation(d)]
+            out.append(P @ M @ P.T)
+        out.append(np.full((d, d), 1.0 / d))
+    out.append(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
+    return out
+
+
+def reference_report(M, tol=DEFAULT_TOL):
+    """The necessary-condition report built directly from the spectrum and,
+    for a nonsingular M, the Jordan structure."""
+    A = np.asarray(M, dtype=float)
+    d = A.shape[0]
+    det = float(np.linalg.det(A))
+    spec = eigenvalues(A, tol)
+    unit_circle_ok = all(z == 1.0 or abs(z) < 1.0 - tol.nonneg for z, _ in spec.roots)
+    culver_ok = det != 0.0
+    if culver_ok:
+        for z, sizes in jordan_structure(A, tol).blocks:
+            if z.imag == 0.0 and z.real < -tol.nonneg:
+                culver_ok &= all(sizes.count(s) % 2 == 0 for s in sizes)
+    pos = A > tol.nonneg
+    transitivity_ok = all(
+        pos[i, j] or not (pos[i, k] and pos[k, j])
+        for i in range(d) for k in range(d) for j in range(d)
+    )
+    return NecessaryReport(
+        diag_positive=bool(np.diag(A).min() > tol.nonneg),
+        det_positive=det > 0.0,
+        unit_circle_ok=unit_circle_ok,
+        culver_ok=culver_ok,
+        transitivity_ok=transitivity_ok,
+    )
+
+
+class TestSingleAnalysisPass:
+    def test_one_spectrum_and_one_jordan_structure_per_decide(self, monkeypatch):
+        calls = {"eigenvalues": 0, "jordan_structure": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in (("eigenvalues", eigenvalues), ("jordan_structure", jordan_structure)):
+            for mod in (kernel_mod, classify_mod, embed_mod):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, fn))
+
+        reasons = set()
+        for M in analysis_corpus():
+            calls.update(eigenvalues=0, jordan_structure=0)
+            res = decide(M)
+            reasons.add(res.reason.value if res.reason else None)
+            assert calls == {"eigenvalues": 1, "jordan_structure": 1}, (M, res.reason)
+        assert "DET_NONPOSITIVE" in reasons and None in reasons
+
+    def test_case_and_report_match_the_public_forms(self):
+        for M in analysis_corpus():
+            res = decide(M)
+            try:
+                tag = classify(M)
+            except IllConditionedError:
+                assert res.verdict is Verdict.UNDECIDED and res.case is None
+            else:
+                assert res.case == tag
+            assert necessary_checks(M) == reference_report(M)
+
+    def test_singular_matrix_skips_jordan_analysis(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Jordan analysis on a singular matrix")
+
+        monkeypatch.setattr(classify_mod, "jordan_structure", refuse)
+        rep = necessary_checks(np.full((4, 4), 0.25))
+        assert not rep.det_positive and not rep.culver_ok

@@ -107,6 +107,16 @@ class TestExpLog:
         back = np.array(json.loads(out)["rows"])
         assert np.abs(back - np.array(Q)).max() < 1e-10
 
+    def test_log_under_deprecation_errors(self):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-m", "markovembed.cli",
+             "log", "-"],
+            input=matrix_doc([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_log_spectrum_on_cut(self):
         code, out, _ = run_cli(["log", "-"], matrix_doc([[0.0, 1.0], [1.0, 0.0]]))
         assert code == 1

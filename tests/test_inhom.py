@@ -5,6 +5,7 @@ import pytest
 
 from markovembed import (
     GVerdict,
+    IllConditionedError,
     NotTotallyPositiveError,
     PoissonFactor,
     Schedule,
@@ -115,6 +116,21 @@ class TestPeanoBaker:
             # the series terms keep zero row sums, so the partial sums and
             # the limit keep unit row sums far below the entry accuracy
             assert np.abs(M.sum(axis=1) - 1.0).max() <= 1e-10
+
+    def test_row_sum_drift_raises(self, monkeypatch):
+        # the row-sum invariant is a runtime check, kept under python -O
+        from markovembed import inhom
+
+        def drifting(times, F):
+            out = np.zeros_like(F)
+            out[-1] = 1e-3
+            return out
+
+        monkeypatch.setattr(inhom, "_cumulative_simpson", drifting)
+        Q = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 2.0, -2.0]])
+        s = Schedule.piecewise_constant([(Q, 1.0)])
+        with pytest.raises(IllConditionedError, match="row sums"):
+            peano_baker(s, 1.0)
 
     def test_partial_time(self, rng):
         Q1 = random_generator(rng, 4, norm_max=1.0)

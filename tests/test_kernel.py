@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,13 @@ class TestPrincipalLog:
         got = principal_log(M)
         assert np.abs(got - expected).max() < 1e-12
         assert np.abs(got - series_log(M)).max() < 1e-10
+
+    def test_no_deprecation_warning(self):
+        M = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            Q = principal_log(M)
+        assert np.abs(mat_exp(Q) - M).max() < 1e-12
 
     def test_spectrum_on_cut(self):
         M = np.array([[0.0, 1.0], [1.0, 0.0]])  # eigenvalue -1
