@@ -1,12 +1,12 @@
 """Embeddability decisions for Markov matrices of dimension 2-4.
 
-``decide`` routes a matrix through its case pattern and constructs every
-candidate generator the case theory allows: closed-form polynomial
-logarithms for the cyclic and principal-branch cases, branch enumeration
-for complex-pair spectra, the extremal commuting pair for the
-equal-input d=3 case with a negative double eigenvalue, and a hyperbola
-search over the real square roots of -I for the d=4 cases with a repeated
-eigenvalue pair.
+``decide``, ``embed_d4`` and the public d=3 deciders look up a matrix's
+case pattern in one decision table, ``_DECIDERS``, whose entry constructs
+every candidate generator the case theory allows: closed-form polynomial
+logarithms for the principal-branch cases, branch enumeration for
+complex-pair spectra, the extremal commuting pair for the equal-input d=3
+case with a negative double eigenvalue, and a hyperbola search over the
+real square roots of -I for the cases with a repeated eigenvalue pair.
 
 Every candidate that is reported has been re-verified: it passes
 ``is_generator`` and the residual certificate ||exp(Q) - M|| <= residual
@@ -311,6 +311,9 @@ def smt_coeffs(
     eig = case.eigen if eigen_data is None else eigen_data
     p = case.pattern
 
+    def real(key: str) -> float:
+        return complex(eig[key]).real
+
     single = {
         Pattern.D2_SIMPLE,
         Pattern.D3_DEG2_1_1_L,
@@ -321,39 +324,32 @@ def smt_coeffs(
         Pattern.D4_DEG2_DOUBLE_POS,
     }
     if p in single:
-        lam = complex(eig["lambda"]).real
+        lam = real("lambda")
         if lam <= 0.0 or lam >= 1.0:
             raise DegenerateDenominatorError(f"no principal branch at lambda={lam:g}")
         return [-math.log(lam) / (1.0 - lam)]
-    if p in (Pattern.D3_SIMPLE_REAL, Pattern.D4_DEG3_TWO_ONES_DISTINCT):
-        mu = complex(eig["lambda1"]).real - 1.0
-        nu = complex(eig["lambda2"]).real - 1.0
-        return _coeffs_two_distinct(mu, nu, tol)
-    if p is Pattern.D4_DEG3_DOUBLE_L2_POS:
-        mu = complex(eig["lambda1"]).real - 1.0
-        nu = complex(eig["lambda2"]).real - 1.0
-        return _coeffs_two_distinct(mu, nu, tol)
+    if p in (
+        Pattern.D3_SIMPLE_REAL,
+        Pattern.D4_DEG3_TWO_ONES_DISTINCT,
+        Pattern.D4_DEG3_DOUBLE_L2_POS,
+    ):
+        return _coeffs_two_distinct(real("lambda1") - 1.0, real("lambda2") - 1.0, tol)
     if p in (
         Pattern.D3_JORDAN2,
         Pattern.D4_DEG3_TWO_ONES_JORDAN,
         Pattern.D4_DEG3_L_JORDAN_L,
     ):
-        return _coeffs_jordan_pair(complex(eig["lambda"]).real - 1.0, tol)
+        return _coeffs_jordan_pair(real("lambda") - 1.0, tol)
     if p in (Pattern.D3_COMPLEX_PAIR, Pattern.D4_DEG3_COMPLEX):
         return _coeffs_complex_pair(complex(eig["lambda"]), k, tol)
     if p is Pattern.D4_SIMPLE_REAL:
-        lams = [complex(eig[f"lambda{i}"]).real for i in (1, 2, 3)]
-        return _coeffs_three_distinct(lams, tol)
+        return _coeffs_three_distinct([real(f"lambda{i}") for i in (1, 2, 3)], tol)
     if p is Pattern.D4_SIMPLE_COMPLEX:
-        return _coeffs_real_plus_pair(
-            complex(eig["lambda"]).real, complex(eig["theta"]), k, tol
-        )
+        return _coeffs_real_plus_pair(real("lambda"), complex(eig["theta"]), k, tol)
     if p is Pattern.D4_JORDAN3:
-        return _coeffs_jordan3(complex(eig["lambda"]).real, tol)
+        return _coeffs_jordan3(real("lambda"), tol)
     if p is Pattern.D4_MIXED_JORDAN2:
-        return _coeffs_simple_plus_jordan(
-            complex(eig["lambda1"]).real, complex(eig["lambda2"]).real, tol
-        )
+        return _coeffs_simple_plus_jordan(real("lambda1"), real("lambda2"), tol)
     raise DegenerateDenominatorError(f"no coefficient formula for {p}")
 
 
@@ -421,9 +417,10 @@ def embed_d3_eq_input_neg(
 ) -> EmbeddingResult:
     """Equal-input d=3 matrix with a negative double eigenvalue.
 
-    Embeddable iff the summatory parameter stays within the extremal bound
-    of its ray; in that case two commuting-deformation generators are
-    produced (exactly the extremal pair at the boundary).
+    Embeddable when c <= 1 + exp(-delta_min) on its ray, with two
+    commuting-deformation generators (the extremal pair at the boundary).
+    The bound is exact on the constant ray only: on skewed rays it rejects
+    some embeddable matrices (known fault, ROADMAP item 1).
     """
     A = as_matrix(M)
     params = _equal_input_params(A, tol)
@@ -766,7 +763,7 @@ def uniqueness_certificates(
 
     Unique when min m_ii > 1/2 (the principal log is then the sole
     candidate), or when det(M) min m_ii > e^-pi prod m_ii; Unknown
-    otherwise.
+    otherwise.  Both certificates read M alone; ``Q`` is not read.
     """
     A = as_matrix(M)
     diag = np.diag(A)
@@ -778,10 +775,22 @@ def uniqueness_certificates(
     return Uniqueness.UNKNOWN
 
 
-def _sign_gate(lam: float, tol: Tolerances) -> str:
-    if abs(lam) <= tol.nonneg or abs(1.0 - lam) <= tol.nonneg:
-        return "boundary"
-    return "pos" if lam > 0.0 else "neg"
+def _gate(
+    tag: CaseTag, lams: list[float], tol: Tolerances, culver: bool = True
+) -> EmbeddingResult | None:
+    """The sign gate: Undecided for an eigenvalue within tol.nonneg of 0 or 1,
+    NotEmbeddable for a negative one if ``culver``, None when all pass."""
+    for lam in lams:
+        if abs(lam) <= tol.nonneg or abs(1.0 - lam) <= tol.nonneg:
+            return _undecided(Reason.NEAR_BOUNDARY, tag)
+        if culver and lam < 0.0:
+            return _not_embeddable(Reason.NEGATIVE_EIGENVALUE_CULVER, tag)
+    return None
+
+
+def _lams(tag: CaseTag) -> list[float]:
+    """Real parts of the tag's eigenvalues named lambda, lambda1, ..."""
+    return [complex(tag.eigen[k]).real for k in sorted(tag.eigen) if k.startswith("lambda")]
 
 
 def _rotation_branch_range(log_modulus: float, odd: bool, slack: float = 1e-9) -> list[int]:
@@ -863,69 +872,97 @@ def _search_pair_case(
     return _not_embeddable(Reason.NO_BRANCH_FEASIBLE, tag)
 
 
-def embed_d3_deg2(
-    M: object,
-    tag: CaseTag | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-    all_branches: bool = False,
+def _one_lambda(
+    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool
 ) -> EmbeddingResult:
-    """d=3 with minimal polynomial degree 2 and a nonnegative eigenvalue."""
-    A = as_matrix(M)
-    if tag is None:
-        tag = classify(A, tol)
-    lam = complex(tag.eigen["lambda"]).real
-    gate = _sign_gate(lam, tol)
-    if gate == "boundary":
-        return _undecided(Reason.NEAR_BOUNDARY, tag)
-    if gate == "neg":
-        if tag.pattern is Pattern.D3_DEG2_1_1_L:
-            return _not_embeddable(Reason.NEGATIVE_EIGENVALUE_CULVER, tag)
+    """Minimal polynomial (x - 1)(x - lam): the principal logarithm is
+    (-log lam / (1 - lam)) (A - I); further logarithms rotate a plane of a
+    repeated lam, and each pattern keeps its own uniqueness rule."""
+    p = tag.pattern
+    (lam,) = _lams(tag)
+    d3_pair = p in (Pattern.D3_DEG2_1_L_L_POS, Pattern.D3_DEG2_1_L_L_NEG)
+    stop = _gate(tag, [lam], tol, culver=not d3_pair)
+    if stop is not None:
+        return stop
+    if lam < 0.0:
         return embed_d3_eq_input_neg(A, tol, tag)
 
-    Q = (-math.log(lam) / (1.0 - lam)) * (A - np.eye(3))
+    Q = (-math.log(lam) / (1.0 - lam)) * (A - np.eye(A.shape[0]))
     cand = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
     if cand is None:
         return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
-    if tag.pattern is Pattern.D3_DEG2_1_1_L:
+    # for d=3, extra rotational branches exist only for tiny lambda
+    if p is Pattern.D4_DEG2_DOUBLE_POS or (
+        d3_pair and abs(math.log(lam)) / (2.0 * math.pi * math.sqrt(3.0)) >= 1.0
+    ):
+        fixed = [] if d3_pair else [1.0]
+        return _search_pair_case(A, tag, fixed, lam, False, cand, tol, all_branches)
+    # rotations inside the unit eigenspace of D3_DEG2_1_1_L and
+    # D4_DEG2_TRIPLE_ONE would need purely imaginary generator eigenvalues,
+    # which Gershgorin excludes
+    if p is not Pattern.D4_DEG2_TRIPLE_L or not _rotation_branch_range(math.log(lam), odd=False):
         return _embeddable([cand], Uniqueness.UNIQUE, tag)
-
-    # repeated pair: extra rotational branches exist only for tiny lambda
-    branch_bound = abs(math.log(lam)) / (2.0 * math.pi * math.sqrt(3.0))
-    if branch_bound < 1.0:
-        return _embeddable([cand], Uniqueness.UNIQUE, tag)
-    if not all_branches:
-        u = uniqueness_certificates(A, Q, tol)
-        u = Uniqueness.POSSIBLY_MORE if u is Uniqueness.UNKNOWN else u
-        return _embeddable([cand], u, tag)
-    return _search_pair_case(A, tag, [], lam, odd=False, principal=cand,
-                             tol=tol, all_branches=True)
+    if all_branches:
+        # partial: scans one pair plane of the triple eigenspace, so only a
+        # second generator is reported
+        res = _search_pair_case(A, tag, [lam], lam, False, cand, tol, True)
+        if len(res.generators) > 1:
+            return res
+    u = uniqueness_certificates(A, Q, tol)
+    return _embeddable([cand], Uniqueness.POSSIBLY_MORE if u is Uniqueness.UNKNOWN else u, tag)
 
 
-def embed_d3_cyclic_real(
-    M: object, tag: CaseTag | None = None, tol: Tolerances = DEFAULT_TOL
+def _repeated_pair(
+    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool
 ) -> EmbeddingResult:
-    """d=3 cyclic with real spectrum: positive eigenvalues and a generator
-    polynomial logarithm are jointly necessary and sufficient."""
-    A = as_matrix(M)
-    if tag is None:
-        tag = classify(A, tol)
-    keys = sorted(k for k in tag.eigen if k.startswith("lambda"))
-    return _principal_only(A, tag, [complex(tag.eigen[k]).real for k in keys], tol)
+    """A repeated pair beside one fixed eigenvalue (1 when the tag names only
+    the pair): the principal logarithm when the pair is positive, and the
+    rotations of the pair on the hyperbola (odd ones for a negative pair)."""
+    *fixed, pair = _lams(tag)
+    stop = _gate(tag, fixed, tol) or _gate(tag, [pair], tol, culver=False)
+    if stop is not None:
+        return stop
+    principal = None
+    if pair > 0.0:
+        try:
+            coeffs = smt_coeffs(tag, tol=tol)
+        except DegenerateDenominatorError:
+            return _undecided(Reason.ILL_CONDITIONED, tag)
+        # a failed k = 0 candidate leaves the rotations at k != 0 to decide
+        principal = _candidate(A, poly_in(coeffs, A - np.eye(4)), 0, Construction.POLY_SMT, tol)
+    return _search_pair_case(
+        A, tag, fixed or [1.0], pair, pair < 0.0, principal, tol, all_branches
+    )
 
 
-def _complex_branch_window(lam: complex, slope: float) -> list[int]:
-    """Branch indices compatible with the generator eigenvalue sector
-    |Im| <= slope * |Re| (slope = cot(pi/d))."""
-    log_mod = abs(math.log(abs(lam)))
-    arg = math.atan2(lam.imag, lam.real)
-    limit = slope * log_mod * (1.0 + 1e-12) + 1e-9
-    kmax = int(math.floor((limit + abs(arg)) / (2.0 * math.pi))) + 1
-    return list(range(-kmax, kmax + 1))
-
-
-def _enumerate_complex_branches(
-    A: np.ndarray, tag: CaseTag, slope: float, tol: Tolerances
+def _principal_only(
+    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool = False
 ) -> EmbeddingResult:
+    """Cases where the principal polynomial logarithm is the sole candidate."""
+    stop = _gate(tag, _lams(tag), tol)
+    if stop is not None:
+        return stop
+    try:
+        coeffs = smt_coeffs(tag, tol=tol)
+    except DegenerateDenominatorError:
+        return _undecided(Reason.ILL_CONDITIONED, tag)
+    Q = poly_in(coeffs, A - np.eye(A.shape[0]))
+    if not is_generator(Q, tol):
+        return _not_embeddable(Reason.LOG_NOT_GENERATOR, tag)
+    cand = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
+    if cand is None:
+        return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
+    return _embeddable([cand], Uniqueness.UNIQUE, tag)
+
+
+def _complex_branches(
+    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool = False
+) -> EmbeddingResult:
+    """A complex-conjugate pair (theta beside a real lambda for
+    D4_SIMPLE_COMPLEX): enumerate every branch logarithm in the sector."""
+    stop = _gate(tag, _lams(tag) if "theta" in tag.eigen else [], tol)
+    if stop is not None:
+        return stop
     lam = complex(tag.eigen.get("theta", tag.eigen.get("lambda")))
     r = abs(lam)
     if r >= 1.0 - tol.nonneg:
@@ -933,10 +970,15 @@ def _enumerate_complex_branches(
     if r <= tol.nonneg:
         return _not_embeddable(Reason.DET_NONPOSITIVE, tag)
 
+    # the branch window: generator eigenvalues lie in the sector
+    # |Im| <= slope |Re|, slope = cot(pi/d)
+    slope = 1.0 / math.sqrt(3.0) if tag.dim == 3 else 1.0
+    limit = slope * abs(math.log(r)) * (1.0 + 1e-12) + 1e-9
+    kmax = int(math.floor((limit + abs(math.atan2(lam.imag, lam.real))) / (2.0 * math.pi))) + 1
     gens = []
     uncertain = False
     Ash = A - np.eye(A.shape[0])
-    for k in _complex_branch_window(lam, slope):
+    for k in range(-kmax, kmax + 1):
         try:
             coeffs = smt_coeffs(tag, k=k, tol=tol)
         except DegenerateDenominatorError:
@@ -957,37 +999,61 @@ def _enumerate_complex_branches(
     return _embeddable(gens, u, tag)
 
 
+# The decision table: one row per non-identity d=3/d=4 pattern, shared by
+# ``decide``, ``embed_d4`` and the public d=3 deciders.  Each decider takes
+# (A, tag, tol, all_branches) with A validated and tag = classify(A).
+_DECIDERS = {
+    Pattern.D3_DEG2_1_1_L: _one_lambda,
+    Pattern.D3_DEG2_1_L_L_POS: _one_lambda,
+    Pattern.D3_DEG2_1_L_L_NEG: lambda A, tag, tol, _all: embed_d3_eq_input_neg(A, tol, tag),
+    Pattern.D3_SIMPLE_REAL: _principal_only,
+    Pattern.D3_JORDAN2: _principal_only,
+    Pattern.D3_COMPLEX_PAIR: _complex_branches,
+    Pattern.D4_DEG2_TRIPLE_ONE: _one_lambda,
+    Pattern.D4_DEG2_TRIPLE_L: _one_lambda,
+    Pattern.D4_DEG2_DOUBLE_POS: _one_lambda,
+    Pattern.D4_DEG2_DOUBLE_NEG: _repeated_pair,
+    Pattern.D4_DEG3_TWO_ONES_DISTINCT: _principal_only,
+    Pattern.D4_DEG3_TWO_ONES_JORDAN: _principal_only,
+    Pattern.D4_DEG3_L_JORDAN_L: _principal_only,
+    Pattern.D4_DEG3_DOUBLE_L2_POS: _repeated_pair,
+    Pattern.D4_DEG3_DOUBLE_L2_NEG: _repeated_pair,
+    Pattern.D4_DEG3_COMPLEX: _complex_branches,
+    Pattern.D4_SIMPLE_REAL: _principal_only,
+    Pattern.D4_SIMPLE_COMPLEX: _complex_branches,
+    Pattern.D4_JORDAN3: _principal_only,
+    Pattern.D4_MIXED_JORDAN2: _principal_only,
+}
+
+
+def _tagged(M: object, tag: CaseTag | None, tol: Tolerances) -> tuple[np.ndarray, CaseTag]:
+    return as_matrix(M), classify(M, tol) if tag is None else tag
+
+
+def embed_d3_deg2(
+    M: object,
+    tag: CaseTag | None = None,
+    tol: Tolerances = DEFAULT_TOL,
+    all_branches: bool = False,
+) -> EmbeddingResult:
+    """d=3 with minimal polynomial degree 2; a negative repeated eigenvalue
+    goes to the equal-input decider."""
+    return _one_lambda(*_tagged(M, tag, tol), tol, all_branches)
+
+
+def embed_d3_cyclic_real(
+    M: object, tag: CaseTag | None = None, tol: Tolerances = DEFAULT_TOL
+) -> EmbeddingResult:
+    """d=3 cyclic with real spectrum: positive eigenvalues and a generator
+    polynomial logarithm are jointly necessary and sufficient."""
+    return _principal_only(*_tagged(M, tag, tol), tol)
+
+
 def embed_d3_complex(
     M: object, tag: CaseTag | None = None, tol: Tolerances = DEFAULT_TOL
 ) -> EmbeddingResult:
     """d=3 with a complex-conjugate pair: enumerate all branch logarithms."""
-    A = as_matrix(M)
-    if tag is None:
-        tag = classify(A, tol)
-    return _enumerate_complex_branches(A, tag, slope=1.0 / math.sqrt(3.0), tol=tol)
-
-
-def _principal_only(
-    A: np.ndarray, tag: CaseTag, lams: list[float], tol: Tolerances
-) -> EmbeddingResult:
-    """Cases where the principal polynomial logarithm is the sole candidate."""
-    for lam in lams:
-        gate = _sign_gate(lam, tol)
-        if gate == "boundary":
-            return _undecided(Reason.NEAR_BOUNDARY, tag)
-        if gate == "neg":
-            return _not_embeddable(Reason.NEGATIVE_EIGENVALUE_CULVER, tag)
-    try:
-        coeffs = smt_coeffs(tag, tol=tol)
-    except DegenerateDenominatorError:
-        return _undecided(Reason.ILL_CONDITIONED, tag)
-    Q = poly_in(coeffs, A - np.eye(A.shape[0]))
-    if not is_generator(Q, tol):
-        return _not_embeddable(Reason.LOG_NOT_GENERATOR, tag)
-    cand = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
-    if cand is None:
-        return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
-    return _embeddable([cand], Uniqueness.UNIQUE, tag)
+    return _complex_branches(*_tagged(M, tag, tol), tol)
 
 
 def embed_d4(
@@ -997,110 +1063,10 @@ def embed_d4(
     all_branches: bool = False,
 ) -> EmbeddingResult:
     """Case dispatch for d=4 (everything except the identity)."""
-    A = as_matrix(M)
-    if tag is None:
-        tag = classify(A, tol)
-    p = tag.pattern
-
-    if p in (Pattern.D4_DEG2_TRIPLE_ONE, Pattern.D4_DEG2_TRIPLE_L):
-        lam = complex(tag.eigen["lambda"]).real
-        gate = _sign_gate(lam, tol)
-        if gate == "boundary":
-            return _undecided(Reason.NEAR_BOUNDARY, tag)
-        if gate == "neg":
-            return _not_embeddable(Reason.NEGATIVE_EIGENVALUE_CULVER, tag)
-        Q = (-math.log(lam) / (1.0 - lam)) * (A - np.eye(4))
-        cand = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
-        if cand is None:
-            return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
-        if p is Pattern.D4_DEG2_TRIPLE_ONE:
-            # rotations inside the unit eigenspace would need purely
-            # imaginary generator eigenvalues, which Gershgorin excludes
-            return _embeddable([cand], Uniqueness.UNIQUE, tag)
-        if not _rotation_branch_range(math.log(lam), odd=False):
-            return _embeddable([cand], Uniqueness.UNIQUE, tag)
-        if all_branches:
-            # partial: scans one pair plane of the triple eigenspace
-            res = _search_pair_case(A, tag, [lam], lam, odd=False,
-                                    principal=cand, tol=tol, all_branches=True)
-            if res.verdict is Verdict.EMBEDDABLE and len(res.generators) > 1:
-                return _embeddable(res.generators, Uniqueness.MULTIPLE_KNOWN, tag)
-        u = uniqueness_certificates(A, Q, tol)
-        u = Uniqueness.POSSIBLY_MORE if u is Uniqueness.UNKNOWN else u
-        return _embeddable([cand], u, tag)
-
-    if p in (Pattern.D4_DEG2_DOUBLE_POS, Pattern.D4_DEG2_DOUBLE_NEG):
-        lam = complex(tag.eigen["lambda"]).real
-        gate = _sign_gate(lam, tol)
-        if gate == "boundary":
-            return _undecided(Reason.NEAR_BOUNDARY, tag)
-        if gate == "pos":
-            Q = (-math.log(lam) / (1.0 - lam)) * (A - np.eye(4))
-            cand = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
-            if cand is None:
-                return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
-            return _search_pair_case(A, tag, [1.0], lam, odd=False,
-                                     principal=cand, tol=tol, all_branches=all_branches)
-        return _search_pair_case(A, tag, [1.0], lam, odd=True, principal=None,
-                                 tol=tol, all_branches=all_branches)
-
-    if p in (
-        Pattern.D4_DEG3_TWO_ONES_DISTINCT,
-        Pattern.D4_DEG3_TWO_ONES_JORDAN,
-        Pattern.D4_DEG3_L_JORDAN_L,
-        Pattern.D4_SIMPLE_REAL,
-        Pattern.D4_JORDAN3,
-        Pattern.D4_MIXED_JORDAN2,
-    ):
-        keys = sorted(k for k in tag.eigen if k.startswith("lambda"))
-        lams = [complex(tag.eigen[k]).real for k in keys]
-        return _principal_only(A, tag, lams, tol)
-
-    if p in (Pattern.D4_DEG3_DOUBLE_L2_POS, Pattern.D4_DEG3_DOUBLE_L2_NEG):
-        l1 = complex(tag.eigen["lambda1"]).real
-        l2 = complex(tag.eigen["lambda2"]).real
-        gate1 = _sign_gate(l1, tol)
-        if gate1 == "boundary":
-            return _undecided(Reason.NEAR_BOUNDARY, tag)
-        if gate1 == "neg":
-            return _not_embeddable(Reason.NEGATIVE_EIGENVALUE_CULVER, tag)
-        gate2 = _sign_gate(l2, tol)
-        if gate2 == "boundary":
-            return _undecided(Reason.NEAR_BOUNDARY, tag)
-        principal = None
-        if gate2 == "pos":
-            try:
-                coeffs = smt_coeffs(tag, tol=tol)
-                principal = _candidate(
-                    A, poly_in(coeffs, A - np.eye(4)), 0, Construction.POLY_SMT, tol
-                )
-            except DegenerateDenominatorError:
-                return _undecided(Reason.ILL_CONDITIONED, tag)
-            if principal is None:
-                # k = 0 exhausted; rotations at k != 0 may still embed
-                return _search_pair_case(A, tag, [l1], l2, odd=False, principal=None,
-                                         tol=tol, all_branches=all_branches)
-            return _search_pair_case(A, tag, [l1], l2, odd=False, principal=principal,
-                                     tol=tol, all_branches=all_branches)
-        return _search_pair_case(A, tag, [l1], l2, odd=True, principal=None,
-                                 tol=tol, all_branches=all_branches)
-
-    if p is Pattern.D4_DEG3_COMPLEX:
-        return _enumerate_complex_branches(A, tag, slope=1.0, tol=tol)
-
-    if p is Pattern.D4_SIMPLE_COMPLEX:
-        lam = complex(tag.eigen["lambda"]).real
-        gate = _sign_gate(lam, tol)
-        if gate == "boundary":
-            return _undecided(Reason.NEAR_BOUNDARY, tag)
-        if gate == "neg":
-            return _not_embeddable(Reason.NEGATIVE_EIGENVALUE_CULVER, tag)
-        return _enumerate_complex_branches(A, tag, slope=1.0, tol=tol)
-
-    raise MarkovEmbedError(f"embed_d4 cannot handle pattern {p}")
-
-
-_ZERO_GEN = {2: np.zeros((2, 2)), 3: np.zeros((3, 3)), 4: np.zeros((4, 4))}
+    A, tag = _tagged(M, tag, tol)
+    if tag.pattern not in _DECIDERS or not tag.pattern.name.startswith("D4"):
+        raise MarkovEmbedError(f"embed_d4 cannot handle pattern {tag.pattern}")
+    return _DECIDERS[tag.pattern](A, tag, tol, all_branches)
 
 
 def decide(
@@ -1114,9 +1080,10 @@ def decide(
     tolerance of the identity, and otherwise analyses the matrix once
     (spectrum, Jordan structure, case tag), screens that analysis for the
     necessary conditions (d >= 3; rejections carry the case tag) and runs
-    the case decider for its pattern.  Numerical failures (ill-conditioned
-    Jordan decisions, inconclusive searches, boundary-ambiguous
-    eigenvalues) surface as Undecided with a reason, never as NotEmbeddable.
+    the case decider that the decision table holds for its pattern.
+    Numerical failures (ill-conditioned Jordan decisions, inconclusive
+    searches, boundary-ambiguous eigenvalues) surface as Undecided with a
+    reason, never as NotEmbeddable.
     """
     A = as_matrix(M)
     if not is_markov(A, tol):
@@ -1129,7 +1096,7 @@ def decide(
     gap = float(np.abs(A - np.eye(d)).max())
     if gap <= tol.residual:
         tag = CaseTag(d, 1, getattr(Pattern, f"D{d}_IDENTITY"))
-        zero = GeneratorCandidate(_ZERO_GEN[d].copy(), 0, Construction.PRINCIPAL_LOG, gap)
+        zero = GeneratorCandidate(np.zeros((d, d)), 0, Construction.PRINCIPAL_LOG, gap)
         return _embeddable([zero], Uniqueness.UNIQUE, tag)
 
     try:
@@ -1142,8 +1109,7 @@ def decide(
         return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
 
     if A.shape[0] == 2:
-        res = embed_d2(A, tol)
-        return dataclasses.replace(res, case=tag)
+        return dataclasses.replace(embed_d2(A, tol), case=tag)
 
     report = screen(A, analysis.jordan.blocks, tol)
     if not report.det_positive:
@@ -1158,24 +1124,6 @@ def decide(
         return _not_embeddable(Reason.TRANSITIVITY_VIOLATION, tag)
 
     try:
-        if tag.pattern in (Pattern.D3_DEG2_1_1_L, Pattern.D3_DEG2_1_L_L_POS):
-            res = embed_d3_deg2(A, tag, tol, all_branches)
-        elif tag.pattern is Pattern.D3_DEG2_1_L_L_NEG:
-            res = embed_d3_eq_input_neg(A, tol, tag)
-        elif tag.pattern in (Pattern.D3_SIMPLE_REAL, Pattern.D3_JORDAN2):
-            res = embed_d3_cyclic_real(A, tag, tol)
-        elif tag.pattern is Pattern.D3_COMPLEX_PAIR:
-            res = embed_d3_complex(A, tag, tol)
-        else:
-            res = embed_d4(A, tag, tol, all_branches)
+        return _DECIDERS[tag.pattern](A, tag, tol, all_branches)
     except (IllConditionedError, DegenerateDenominatorError):
         return _undecided(Reason.ILL_CONDITIONED, tag)
-
-    if (
-        res.verdict is Verdict.EMBEDDABLE
-        and len(res.generators) == 1
-        and res.uniqueness in (Uniqueness.POSSIBLY_MORE, Uniqueness.UNKNOWN)
-    ):
-        if uniqueness_certificates(A, res.generators[0].matrix, tol) is Uniqueness.UNIQUE:
-            res = dataclasses.replace(res, uniqueness=Uniqueness.UNIQUE)
-    return res

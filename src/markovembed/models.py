@@ -22,6 +22,7 @@ from .embed import (
     Uniqueness,
     _candidate,
     _embeddable,
+    _equal_input_params,
     _not_embeddable,
     _undecided,
     decide,
@@ -101,22 +102,13 @@ def equal_input_matrix(p: EqualInputParams) -> np.ndarray:
 def recognize_equal_input(
     M: object, tol: Tolerances = DEFAULT_TOL
 ) -> EqualInputParams | None:
-    """Parameters if M is equal-input within the row-sum tolerance."""
+    """Parameters if M is a Markov equal-input matrix within the row-sum
+    tolerance, clamped at 0; like the other recognizers it never raises."""
     A = as_matrix(M)
-    if not is_markov(A, tol):
+    params = _equal_input_params(A, tol) if is_markov(A, tol) else None
+    if params is None:
         return None
-    d = A.shape[0]
-    c_vec = []
-    for j in range(d):
-        off = [A[i, j] for i in range(d) if i != j]
-        cj = float(np.mean(off))
-        if max(abs(v - cj) for v in off) > 10.0 * tol.rowsum:
-            return None
-        c_vec.append(max(cj, 0.0))
-    p = EqualInputParams(tuple(c_vec))
-    if np.abs(equal_input_matrix(p) - A).max() > 10.0 * tol.rowsum:
-        return None
-    return p
+    return EqualInputParams(tuple(max(float(cj), 0.0) for cj in params[0]))
 
 
 def embed_equal_input(

@@ -18,6 +18,7 @@ from markovembed import (
     eq_input_extremal_generators,
     equal_input_matrix,
     is_generator,
+    is_markov,
     k3st_matrix,
     k3st_spectrum,
     mat_exp,
@@ -69,6 +70,15 @@ class TestEqualInput:
             ]
         )
         assert recognize_equal_input(M) is None
+
+    def test_recognize_markov_input_past_row_feasibility(self):
+        # the first diagonal entry is -5e-11: Markov within tolerance, while
+        # c <= 1 + c_1 fails by 5e-11, so the parameters must not validate
+        c = np.array([0.2, 0.5, 0.5 + 5e-11])
+        M = (1.0 - c.sum()) * np.eye(3) + np.outer(np.ones(3), c)
+        assert is_markov(M)
+        assert recognize_equal_input(M) == EqualInputParams((0.2, 0.5, 0.50000000005))
+        assert model_recognize(M) == {"EQUAL_INPUT"}
 
     def test_embed_d4_below_one(self):
         res = embed_equal_input(EqualInputParams((0.2, 0.3, 0.15, 0.25)))
