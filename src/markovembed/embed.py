@@ -5,14 +5,18 @@ case pattern in one decision table, ``_DECIDERS``, whose entry constructs
 every candidate generator the case theory allows: closed-form polynomial
 logarithms for the principal-branch cases, branch enumeration for
 complex-pair spectra, the extremal commuting pair for the equal-input d=3
-case with a negative double eigenvalue, and a hyperbola search over the
-real square roots of -I for the cases with a repeated eigenvalue pair.
+case with a negative double eigenvalue, and an exact feasibility search
+over the real square roots of -I (a sheet of a hyperbola) for the cases
+with a repeated eigenvalue pair: it evaluates a finite set of candidate
+points that holds a feasible point whenever one exists.
 
 Every candidate that is reported has been re-verified: it passes
 ``is_generator`` and the residual certificate ||exp(Q) - M|| <= residual
 tolerance * scale(M).  Verdicts are three-valued; ``Undecided`` absorbs
-numerical failure and the search's honest "Inconclusive" outcome, and
-never masquerades as ``NotEmbeddable``.
+numerical failure and the search's "Inconclusive" outcome, which means
+only that the best candidate's violation lies in the floating-point band
+between the sign tolerance and the Infeasible margin; ``Undecided`` never
+masquerades as ``NotEmbeddable``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import enum
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .classify import CaseTag, Pattern, analyse, classify, screen
 from .errors import (
@@ -44,17 +47,6 @@ from .kernel import (
     poly_in,
     scale_of,
 )
-
-# Hyperbola search geometry (see hyperbola_search): base grid per the
-# documented contract, then deterministic local refinement and a
-# Lipschitz branch-and-bound certification pass.
-_GRID_X_DECADES = (-3.0, 3.0)
-_GRID_Z_DECADES = (-3.0, 3.0)
-_GRID_POINTS = 200
-_REFINE_ROUNDS = 6
-_REFINE_POINTS = 41
-_BNB_MAX_CELLS = 400_000
-
 
 class Verdict(enum.Enum):
     EMBEDDABLE = "Embeddable"
@@ -525,142 +517,93 @@ def _pair_decomposition(
     return RealJordanDecomposition(T, canonical, cond, cond > 1e8)
 
 
-@dataclasses.dataclass(frozen=True)
-class _AffineConstraints:
-    """Off-diagonal entries of R(x,y,z) = base + angle*(x Wx + y Wy + z Wz)."""
-
-    f: np.ndarray  # constant part per off-diagonal entry
-    a: np.ndarray  # x coefficient (angle folded in)
-    b: np.ndarray  # y coefficient
-    c: np.ndarray  # z coefficient
-
-    def violation(self, x, y, z):
-        g = (
-            self.f[:, None]
-            + self.a[:, None] * np.atleast_1d(x)[None, :]
-            + self.b[:, None] * np.atleast_1d(y)[None, :]
-            + self.c[:, None] * np.atleast_1d(z)[None, :]
-        )
-        return np.max(-g, axis=0)
-
-
-def _build_constraints(
-    decomp: RealJordanDecomposition,
-    fixed_block: np.ndarray,
-    log_modulus: float,
-    angle: float,
-) -> _AffineConstraints:
+def _sheet_constraints(
+    decomp: RealJordanDecomposition, fixed_block: np.ndarray, log_modulus: float
+) -> np.ndarray:
+    """Rows (f, a, b, c), one per off-diagonal entry of
+    R = T (fixed_block (+) (log_modulus I + angle [[x, -z], [y, -x]])) T^-1,
+    which is f + angle (a x + b y + c z)."""
     S = decomp.T
     d = S.shape[0]
     Sinv = np.linalg.inv(S)
-    fixed = scipy.linalg.block_diag(np.atleast_2d(fixed_block), log_modulus * np.eye(2))
+    fixed = np.zeros((d, d))
+    fixed[: d - 2, : d - 2] = fixed_block
+    fixed[d - 2 :, d - 2 :] = log_modulus * np.eye(2)
     base = S @ fixed @ Sinv
-
-    def wrap(N: np.ndarray) -> np.ndarray:
-        return S @ scipy.linalg.block_diag(np.zeros((d - 2, d - 2)), N) @ Sinv
-
-    Wx = wrap(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    Wy = wrap(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    Wz = wrap(np.array([[0.0, -1.0], [0.0, 0.0]]))
-
+    (u1, u2), (v1, v2) = S[:, d - 2 :].T, Sinv[d - 2 :]
+    Wx = np.outer(u1, v1) - np.outer(u2, v2)
+    Wy = np.outer(u2, v1)
+    Wz = -np.outer(u1, v2)
     off = ~np.eye(d, dtype=bool)
-    return _AffineConstraints(
-        f=base[off], a=angle * Wx[off], b=angle * Wy[off], c=angle * Wz[off]
-    )
+    return np.column_stack([base[off], Wx[off], Wy[off], Wz[off]])
 
 
-def _grid_search(cons: _AffineConstraints) -> tuple[float, float, float]:
-    """Deterministic coarse grid plus local refinement; returns (V, x, z)."""
-    half = _GRID_POINTS // 2
-    xs = np.concatenate(
-        [-np.logspace(_GRID_X_DECADES[1], _GRID_X_DECADES[0], half),
-         np.logspace(_GRID_X_DECADES[0], _GRID_X_DECADES[1], half)]
-    )
-    zs = np.logspace(_GRID_Z_DECADES[0], _GRID_Z_DECADES[1], _GRID_POINTS)
-    X, Z = np.meshgrid(xs, zs, indexing="ij")
-    xf, zf = X.ravel(), Z.ravel()
-    V = cons.violation(xf, (1.0 + xf**2) / zf, zf)
-    k = int(np.argmin(V))
-    best_v, best_x, best_z = float(V[k]), float(xf[k]), float(zf[k])
-
-    wx = max(abs(best_x), 1e-2)
-    for _ in range(_REFINE_ROUNDS):
-        lx = np.linspace(best_x - wx, best_x + wx, _REFINE_POINTS)
-        lz = best_z * np.exp(np.linspace(-wx / max(best_z, 1.0), wx / max(best_z, 1.0), _REFINE_POINTS))
-        lz = lz[lz > 0]
-        X, Z = np.meshgrid(lx, lz, indexing="ij")
-        xf, zf = X.ravel(), Z.ravel()
-        V = cons.violation(xf, (1.0 + xf**2) / zf, zf)
-        k = int(np.argmin(V))
-        if V[k] < best_v:
-            best_v, best_x, best_z = float(V[k]), float(xf[k]), float(zf[k])
-        wx *= 0.25
-    return best_v, best_x, best_z
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two (n, 3) arrays."""
+    return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
 
 
-def _cone_margin(cons: _AffineConstraints) -> float:
-    """Certified lower bound of the worst violation over asymptotic
-    directions (the cone y z = x^2, y + z = 1)."""
-    n = 4001
-    phi = np.linspace(0.0, math.pi / 2.0, n)
-    h = phi[1] - phi[0]
-    lip = float(np.max(np.abs(cons.a) + np.abs(cons.b) + np.abs(cons.c)))
-    worst = np.inf
-    for sign in (1.0, -1.0):
-        x = sign * 0.5 * np.sin(2.0 * phi)
-        y = np.sin(phi) ** 2
-        z = np.cos(phi) ** 2
-        g = (
-            cons.a[:, None] * x[None, :]
-            + cons.b[:, None] * y[None, :]
-            + cons.c[:, None] * z[None, :]
-        )
-        worst = min(worst, float(np.min(np.max(-g, axis=0))))
-    return worst - lip * h / 2.0
+def _sheet_roots(n1, h1, n2, h2) -> np.ndarray:
+    """Both points of each line {n1 . p = h1, n2 . p = h2} on the sheet.
 
-
-def _bnb_certify(
-    cons: _AffineConstraints, u_max: float, w_max: float, found_tol: float, margin: float
-) -> tuple[bool, tuple[float, float] | None]:
-    """Lipschitz branch and bound over the sheet patch |u|,|w| bounded.
-
-    Returns (certified_infeasible, found_point).  Sheet parametrisation:
-    x = sinh u, y = cosh u e^w, z = cosh u e^-w.
+    The line is p0 + t u with u the unit direction; yz - x^2 = 1 along it
+    is one quadratic in t, solved in the cancellation-free form, so a
+    tangent line gives its double root and a line asymptotic to the sheet
+    its single finite root.  Rounding that pushes a tangent line's
+    discriminant below 0 is clamped, and every root is scaled in (y, z)
+    back onto the sheet; lines that miss it give extra points of the sheet,
+    which can only weaken an Infeasible verdict.
     """
-    a_abs = np.abs(cons.a)
-    b_abs = np.abs(cons.b)
-    c_abs = np.abs(cons.c)
+    d = _cross(n1, n2)
+    dd = (d * d).sum(axis=1)[:, None]
+    p0 = (h1[:, None] * _cross(n2, d) + h2[:, None] * _cross(d, n1)) / dd
+    u = d / np.sqrt(dd)
+    qa = u[:, 1] * u[:, 2] - u[:, 0] ** 2
+    qb = p0[:, 1] * u[:, 2] + p0[:, 2] * u[:, 1] - 2.0 * p0[:, 0] * u[:, 0]
+    qc = p0[:, 1] * p0[:, 2] - p0[:, 0] ** 2 - 1.0
+    q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+    P = np.concatenate([p0 + (q / qa)[:, None] * u, p0 + (qc / q)[:, None] * u])
+    P = P[(P[:, 1] > 0.0) & (P[:, 2] > 0.0)]
+    P[:, 1:] *= np.sqrt((1.0 + P[:, :1] ** 2) / (P[:, 1:2] * P[:, 2:]))
+    return P[np.isfinite(P).all(axis=1)]
 
-    def violation_at(u: float, w: float) -> float:
-        x, ch = math.sinh(u), math.cosh(u)
-        return float(cons.violation(x, ch * math.exp(w), ch * math.exp(-w))[0])
 
-    stack = [(-u_max, u_max, -w_max, w_max)]
-    processed = 0
-    while stack:
-        processed += 1
-        if processed > _BNB_MAX_CELLS:
-            return False, None
-        ulo, uhi, wlo, whi = stack.pop()
-        uc, wc = 0.5 * (ulo + uhi), 0.5 * (wlo + whi)
-        vc = violation_at(uc, wc)
-        if vc <= found_tol:
-            return False, (uc, wc)
-        um = max(abs(ulo), abs(uhi))
-        ew, emw = math.exp(whi), math.exp(-wlo)
-        ch, sh = math.cosh(um), math.sinh(um)
-        lu = float(np.max(a_abs * ch + (b_abs * ew + c_abs * emw) * sh))
-        lw = float(np.max((b_abs * ew + c_abs * emw) * ch))
-        bound = vc - 0.5 * (lu * (uhi - ulo) + lw * (whi - wlo))
-        if bound > margin:
-            continue  # certified positive on this cell
-        if lu * (uhi - ulo) >= lw * (whi - wlo):
-            stack.append((ulo, uc, wlo, whi))
-            stack.append((uc, uhi, wlo, whi))
-        else:
-            stack.append((ulo, uhi, wlo, wc))
-            stack.append((ulo, uhi, wc, whi))
-    return True, None
+def _sheet_search(
+    rows: np.ndarray, tol: Tolerances
+) -> tuple[SearchStatus, HyperbolaPoint | None]:
+    """Is f + a x + b y + c z >= 0, for every row (f, a, b, c), at a point
+    of the sheet?  Candidates and statuses are those of hyperbola_search."""
+    f, N = rows[:, 0], rows[:, 1:]
+    m = len(f)
+    # the KKT points of y + z on {g_i = 0} and the sheet satisfy
+    # det[(0, 1, 1); n_i; grad(yz - x^2)] = 2 (b_i - c_i) x - a_i y + a_i z = 0;
+    # a normal parallel to (0, 1, 1) makes y + z constant on its conic, and
+    # x = 0 then picks points of it
+    K = np.column_stack([2.0 * (N[:, 1] - N[:, 2]), -N[:, 0], N[:, 0]])
+    K[~K.any(axis=1)] = (1.0, 0.0, 0.0)
+    i, j = np.nonzero(np.arange(m)[:, None] < np.arange(m))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        P = np.vstack(
+            [
+                (0.0, 1.0, 1.0),
+                _sheet_roots(
+                    np.concatenate([N, N[i]]),
+                    -np.concatenate([f, f[i]]),
+                    np.concatenate([K, N[j]]),
+                    -np.concatenate([np.zeros(m), f[j]]),
+                ),
+            ]
+        )
+    Ph = np.column_stack([np.ones(len(P)), P])
+    violation = -(Ph @ rows.T).min(axis=1)
+    best = int(np.argmin(violation))
+    if violation[best] <= tol.nonneg:
+        return SearchStatus.FOUND, HyperbolaPoint(*(float(v) for v in P[best]))
+    # rounding allowance: 2^10 ulp of the largest term of g_i(p)
+    rounding = 2.0**10 * np.finfo(float).eps * (np.abs(Ph) @ np.abs(rows).T).max(axis=1)
+    if (violation > 10.0 * tol.nonneg + rounding).all():
+        return SearchStatus.INFEASIBLE, None
+    return SearchStatus.INCONCLUSIVE, None
 
 
 def hyperbola_search(
@@ -674,41 +617,37 @@ def hyperbola_search(
 
     The last two columns of ``decomp.T`` must span the repeated-eigenvalue
     pair eigenspace; ``fixed_block`` is the leading log-domain block.  Each
-    off-diagonal nonnegativity constraint is affine in (x, y, z), searched
-    over the sheet y z - x^2 = 1, z > 0.
+    off-diagonal entry g_i of R is affine in p = (x, y, z), and R is a
+    generator iff p lies in the polyhedron P = {g_i >= 0} and on the sheet
+    H = {yz - x^2 = 1, z > 0}.
 
-    Found        -- a point with worst violation <= nonneg tolerance
-    Infeasible   -- violation certified > 10 x nonneg everywhere (Lipschitz
-                    branch-and-bound on a compact patch plus an asymptotic
-                    cone bound covering z -> 0, z -> inf)
-    Inconclusive -- neither certificate obtained
+    Theorem: if S = P n H is nonempty, y + z attains its minimum over S
+    (y + z >= 2 sqrt(1 + x^2) on H, so it is coercive there and S is
+    closed), and a minimiser lies among
+      * the point (0, 1, 1), the minimiser of y + z over all of H;
+      * the KKT points of y + z on each conic C_i = {g_i = 0} n H: the two
+        roots of one quadratic, on the line where the plane g_i = 0 meets
+        the plane det[(0, 1, 1); grad g_i; grad(yz - x^2)] = 0 (which also
+        holds where the plane is tangent to H); when grad g_i is parallel
+        to (0, 1, 1), y + z is constant on C_i, and any point of it serves
+        unless another constraint is active, which the next item covers;
+      * the two roots of each line {g_i = g_j = 0} n H, at most
+        2 C(12, 2) = 132 for d = 4.
+    A minimiser with no active constraint is the critical point (0, 1, 1);
+    with one, it is critical for y + z on C_i; with two or more distinct
+    planes, it lies on their line (coinciding planes count as one).
+
+    Every constraint is evaluated at every candidate at once, and
+    Found        -- the candidate with the most slack violates by at most
+                    tol.nonneg; it is returned;
+    Infeasible   -- every candidate violates by more than 10 tol.nonneg plus
+                    a rounding allowance scaled by the coefficient sizes and
+                    the candidate's size, so S is empty;
+    Inconclusive -- otherwise: the best candidate sits in that band.
     """
     fixed = np.atleast_2d(np.asarray(fixed_block, dtype=float))
-    cons = _build_constraints(decomp, fixed, log_modulus, angle)
-
-    best_v, x0, z0 = _grid_search(cons)
-    if best_v <= tol.nonneg:
-        y0 = (1.0 + x0 * x0) / z0
-        return SearchStatus.FOUND, HyperbolaPoint(x0, y0, z0)
-
-    margin = 10.0 * tol.nonneg
-    delta = _cone_margin(cons)
-    if delta <= margin:
-        return SearchStatus.INCONCLUSIVE, None
-    C = float(np.max(np.abs(cons.f)))
-    L2 = float(np.max(np.sqrt(cons.a**2 + cons.b**2 + cons.c**2)))
-    r0 = max(3.0, (C + margin + 3.0 * delta + 3.0 * L2) / ((2.0 / 3.0) * delta))
-    reach = math.acosh(max(r0 / 2.0, 1.0 + 1e-12))
-    ok, point = _bnb_certify(cons, reach, reach, tol.nonneg, margin)
-    if point is not None:
-        u, w = point
-        x = math.sinh(u)
-        return SearchStatus.FOUND, HyperbolaPoint(
-            x, math.cosh(u) * math.exp(w), math.cosh(u) * math.exp(-w)
-        )
-    if ok:
-        return SearchStatus.INFEASIBLE, None
-    return SearchStatus.INCONCLUSIVE, None
+    rows = _sheet_constraints(decomp, fixed, log_modulus)
+    return _sheet_search(rows * (1.0, angle, angle, angle), tol)
 
 
 def rotation_log(
@@ -721,10 +660,11 @@ def rotation_log(
     """Assemble the real logarithm a hyperbola point parametrises."""
     S = decomp.T
     d = S.shape[0]
-    rot = log_modulus * np.eye(2) + angle * np.array(
+    block = np.zeros((d, d))
+    block[: d - 2, : d - 2] = np.atleast_2d(np.asarray(fixed_block, float))
+    block[d - 2 :, d - 2 :] = log_modulus * np.eye(2) + angle * np.array(
         [[point.x, -point.z], [point.y, -point.x]]
     )
-    block = scipy.linalg.block_diag(np.atleast_2d(np.asarray(fixed_block, float)), rot)
     return S @ block @ np.linalg.inv(S)
 
 
@@ -841,12 +781,13 @@ def _search_pair_case(
     # fixed log block: 0 for each unit eigenvalue, log(lam) otherwise
     fixed_block = np.diag([0.0] + [0.0 if l == 1.0 else math.log(l) for l in fixed_eigs])
 
+    rows = _sheet_constraints(decomp, fixed_block, log_mod)
     inconclusive = False
     found_extra = False
     for k in ks:
         angle = (2 * k + 1) * math.pi if odd else 2 * k * math.pi
-        status, point = hyperbola_search(decomp, fixed_block, log_mod, angle, tol)
-        if status is SearchStatus.FOUND and point is not None:
+        status, point = _sheet_search(rows * (1.0, angle, angle, angle), tol)
+        if status is SearchStatus.FOUND:
             Q = rotation_log(decomp, fixed_block, log_mod, angle, point)
             cand = _candidate(A, Q, k, Construction.HYPERBOLA, tol)
             if cand is not None:

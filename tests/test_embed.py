@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from markovembed import (
     Construction,
@@ -28,7 +30,7 @@ from markovembed import (
     smt_coeffs,
     uniqueness_certificates,
 )
-from markovembed.embed import _pair_decomposition, rotation_log
+from markovembed.embed import _pair_decomposition, _sheet_search, rotation_log
 from markovembed.kernel import DEFAULT_TOL
 
 from conftest import random_generator, random_markov
@@ -43,6 +45,20 @@ def kendall_block(a, b):
 
 def constant_input(c, d=3):
     return (1 - c) * np.eye(d) + np.full((d, d), c / d)
+
+
+def lifted_equal_input(ray, f):
+    """1 (+) E(ray, f): the equal-input block with c = 1 + f exp(-delta_min)."""
+    r = np.asarray(ray, dtype=float)
+    c = 1 + f * math.exp(-delta_min(*r))
+    M = np.eye(4)
+    M[1:, 1:] = (1 - c) * np.eye(3) + np.tile(c * r / r.sum(), (3, 1))
+    return M
+
+
+def sheet_point(u, w):
+    """The point of yz - x^2 = 1, z > 0 at (u, w)."""
+    return np.array([np.sinh(u), np.cosh(u) * np.exp(w), np.cosh(u) * np.exp(-w)])
 
 
 class TestD2:
@@ -313,6 +329,7 @@ class TestD3Complex:
             assert any(np.abs(g.matrix - Q).max() < 1e-8 for g in res.generators)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestHyperbola:
     def test_planted_rotation_found(self):
         circ3 = (2 * math.pi / math.sqrt(3.0)) * np.array(
@@ -366,6 +383,122 @@ class TestHyperbola:
         R = rotation_log(dec, fixed, math.log(abs(lam)), math.pi, point)
         assert is_generator(R)
         assert abs(point.y * point.z - point.x**2 - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "ray, f",
+        [
+            ((0.372, 0.373, 0.255), 1.7905),  # near its threshold
+            ((0.4922554322011088, 0.34307848368133703, 0.16466608411755426), 9.0),
+        ],
+    )
+    def test_skewed_lifts_decided_quickly(self, ray, f):
+        # a loose bound: searches that grid and subdivide the sheet took
+        # 17-22 s of CPU on these two lifts
+        M = lifted_equal_input(ray, f)
+        start = time.process_time()
+        res = decide(M)
+        elapsed = time.process_time() - start
+        assert res.verdict is Verdict.EMBEDDABLE
+        for g in res.generators:
+            assert is_generator(g.matrix)
+            assert np.abs(scipy.linalg.expm(g.matrix) - M).max() <= 1e-8
+        assert elapsed < 1.0
+
+    def test_single_constraint_statuses(self):
+        # y + z >= 3 holds on a whole circle of the sheet, where y + z is
+        # constant, so any point of that conic is a candidate
+        status, point = _sheet_search(np.array([[-3.0, 0.0, 1.0, 1.0]]), DEFAULT_TOL)
+        assert status is SearchStatus.FOUND
+        assert abs(point.y + point.z - 3.0) < 1e-12
+        # hyperbola_search builds one row per off-diagonal entry of a
+        # similarity T (.) T^-1, which cannot express a single constraint,
+        # so this drives the search core.  2 - (y + z) >= 0 holds on the
+        # sheet only at (0, 1, 1); shifted by 5e-10 its best candidate
+        # violates by more than tol.nonneg and less than the margin.
+        for shift, status in (
+            (0.0, SearchStatus.FOUND),
+            (5e-10, SearchStatus.INCONCLUSIVE),
+            (1e-8, SearchStatus.INFEASIBLE),
+        ):
+            rows = np.array([[2.0 - shift, 0.0, -1.0, -1.0]])
+            found, point = _sheet_search(rows, DEFAULT_TOL)
+            assert found is status
+            if status is SearchStatus.FOUND:
+                assert abs(point.x) + abs(point.y - 1.0) + abs(point.z - 1.0) < 1e-12
+            else:
+                assert point is None
+
+    def test_inconclusive_band_through_decide(self):
+        # 1 (+) E on the constant ray, a relative 5e-12 beyond its extremal
+        # bound: the best point of each branch violates by about 4e-10
+        c = (1 + math.exp(-PI_SQRT3)) * (1 + 5e-12)
+        M = np.eye(4)
+        M[1:, 1:] = constant_input(c)
+        lam = -(c - 1)
+        dec = _pair_decomposition(M, [1.0], lam, DEFAULT_TOL)
+        status, point = hyperbola_search(dec, np.zeros((2, 2)), math.log(abs(lam)), math.pi)
+        assert status is SearchStatus.INCONCLUSIVE and point is None
+        res = decide(M)
+        assert res.verdict is Verdict.UNDECIDED
+        assert res.reason is Reason.SEARCH_INCONCLUSIVE
+
+
+def random_sheet_system(rng):
+    """6-12 random affine constraints g = f + n . (x, y, z) >= 0, with slack
+    drawn around an anchor point on the sheet.
+
+    One system in four keeps only the first constraint tight there, and one
+    in four makes it a bounded cap of the sheet around the anchor, so that
+    minimisers on a single conic occur.  Three in four get a planted
+    degeneracy in the last rows: a normal parallel to (0, 1, 1), a repeated
+    plane, or a parallel plane.
+    """
+    m = int(rng.integers(6, 13))
+    anchor = sheet_point(*rng.uniform(-1.5, 1.5, 2))
+    N = rng.normal(size=(m, 3))
+    slack = rng.uniform(-0.5, 1.0, m)
+    shape, degeneracy = rng.integers(4, size=2)
+    if shape == 1:
+        slack[1:] += 3.0
+    elif shape == 2:
+        x, y, z = anchor
+        N[0] = (2.0 * x, -z, -y)  # minus the gradient of yz - x^2 at the anchor
+        slack[0] = rng.uniform(0.01, 0.5)
+        slack[1:] += 3.0
+    if degeneracy == 1:
+        N[-1] = np.array([0.0, 1.0, 1.0]) * rng.normal()
+    elif degeneracy >= 2:
+        t = rng.uniform(0.5, 2.0)
+        N[-2] = t * N[-1]
+        if degeneracy == 2:
+            slack[-2] = t * slack[-1]
+    return np.column_stack([slack - N @ anchor, N])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSheetCandidates:
+    """The candidate theorem of hyperbola_search on random affine systems."""
+
+    U, W = np.meshgrid(np.linspace(-6, 6, 301), np.linspace(-6, 6, 301))
+    DENSE = sheet_point(U.ravel(), W.ravel())
+
+    def test_statuses_agree_with_a_dense_sample(self):
+        rng = np.random.default_rng(7)
+        seen = {status: 0 for status in SearchStatus}
+        for _ in range(200):
+            rows = random_sheet_system(rng)
+            status, point = _sheet_search(rows, DEFAULT_TOL)
+            seen[status] += 1
+            if status is SearchStatus.FOUND:
+                x, y, z = point.x, point.y, point.z
+                assert z > 0 and abs(y * z - x * x - 1.0) <= 1e-9
+                assert (rows @ (1.0, x, y, z)).min() >= -DEFAULT_TOL.nonneg
+            sampled = (rows[:, :1] + rows[:, 1:] @ self.DENSE).min(axis=0).max()
+            if sampled >= 1e-6:
+                assert status is not SearchStatus.INFEASIBLE
+            perm = rng.permutation(len(rows))
+            assert _sheet_search(rows[perm], DEFAULT_TOL)[0] is status
+        assert seen[SearchStatus.FOUND] >= 30 and seen[SearchStatus.INFEASIBLE] >= 30
 
 
 class TestD4Dispatch:
