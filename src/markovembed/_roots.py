@@ -1,22 +1,18 @@
-"""Closed-form root finding for monic polynomials of degree 2-4.
+"""Root finding for monic polynomials of degree 1-4.
 
-The solvers return complex roots with exact conjugate symmetry: complex
-roots of real polynomials are produced as conjugate pairs by construction
-(quadratic sub-factors always carry real coefficients), so no symmetrisation
+Degrees 1-3 have closed forms; degree 4 uses QR iteration on the companion
+matrix.  A Markov matrix never needs degree 4: its eigenvalue 1 is deflated
+first, leaving at most a cubic.  Complex roots of real polynomials come in
+exact conjugate pairs (quadratic sub-factors carry real coefficients, and
+the real QR iteration pairs its complex eigenvalues), so no symmetrisation
 pass is needed downstream.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
-
-# Relative discriminant size below which the Ferrari quartic path is
-# abandoned for QR iteration on the companion matrix (near-multiple roots
-# make the closed form ill-conditioned).
-QUARTIC_DISCRIMINANT_CUTOFF = 1e-12
 
 
 def char_poly(M: np.ndarray) -> np.ndarray:
@@ -98,72 +94,18 @@ def solve_cubic(b: float, c: float, d: float) -> list[complex]:
     return [r - shift for r in roots]
 
 
-def _quartic_discriminant(p: float, q: float, r: float) -> float:
-    return (
-        256.0 * r**3
-        - 128.0 * p**2 * r**2
-        + 144.0 * p * q**2 * r
-        - 27.0 * q**4
-        + 16.0 * p**4 * r
-        - 4.0 * p**3 * q**2
-    )
-
-
-def solve_quartic(b: float, c: float, d: float, e: float) -> list[complex]:
-    """Roots of x^4 + b x^3 + c x^2 + d x + e.
-
-    Ferrari's method with a depressed-cubic resolvent; near-zero
-    discriminant (multiple roots) falls back to QR iteration on the
-    companion matrix, which is better conditioned there.
-    """
-    shift = b / 4.0
-    p = c - 3.0 * b * b / 8.0
-    q = d - b * c / 2.0 + b**3 / 8.0
-    r = e - b * d / 4.0 + b * b * c / 16.0 - 3.0 * b**4 / 256.0
-
-    scale = max(1.0, abs(p) ** 0.5, abs(q) ** (1.0 / 3.0), abs(r) ** 0.25)
-    disc = _quartic_discriminant(p, q, r)
-    if abs(disc) < QUARTIC_DISCRIMINANT_CUTOFF * scale**12:
-        roots = np.roots([1.0, b, c, d, e])
-        return [complex(z) for z in roots]
-
-    if abs(q) < 1e-14 * scale**3:
-        # biquadratic: y^4 + p y^2 + r
-        zs = solve_quadratic(p, r)
-        out: list[complex] = []
-        for z in zs:
-            s = cmath.sqrt(z)
-            out.extend([s, -s])
-        # biquadratic roots of a real polynomial: conjugate symmetry holds
-        return [w - shift for w in out]
-
-    # resolvent 8m^3 + 8p m^2 + (2p^2 - 8r) m - q^2 = 0 has a positive root
-    res = solve_cubic(p, (2.0 * p * p - 8.0 * r) / 8.0, -q * q / 8.0)
-    m = max(
-        (z.real for z in res if abs(z.imag) <= 1e-9 * (1.0 + abs(z)) and z.real > 0.0),
-        default=None,
-    )
-    if m is None or 2.0 * m <= 0.0:
-        roots = np.roots([1.0, b, c, d, e])
-        return [complex(z) for z in roots]
-    s2m = math.sqrt(2.0 * m)
-    # y^4 + p y^2 + q y + r = (y^2 + s2m y + t1)(y^2 - s2m y + t2)
-    t1 = p / 2.0 + m - q / (2.0 * s2m)
-    t2 = p / 2.0 + m + q / (2.0 * s2m)
-    out = solve_quadratic(s2m, t1) + solve_quadratic(-s2m, t2)
-    return [w - shift for w in out]
-
-
 def poly_roots(coeffs: np.ndarray) -> list[complex]:
     """Roots of the monic polynomial with low-order coefficients `coeffs`.
 
     `coeffs` as returned by :func:`char_poly` ([c_0, ..., c_{d-1}]).
     """
     d = len(coeffs)
+    if d == 1:
+        return [complex(-coeffs[0])]
     if d == 2:
         return solve_quadratic(coeffs[1], coeffs[0])
     if d == 3:
         return solve_cubic(coeffs[2], coeffs[1], coeffs[0])
     if d == 4:
-        return solve_quartic(coeffs[3], coeffs[2], coeffs[1], coeffs[0])
+        return [complex(z) for z in np.roots([1.0, *coeffs[::-1]])]
     raise ValueError(f"unsupported degree {d}")

@@ -2,9 +2,11 @@
 
 Matrices are plain ``numpy.ndarray`` values; :func:`as_matrix` enforces the
 contract (real, finite, square, dimension 2-4).  Eigenvalues come from
-closed-form root solvers on the characteristic polynomial, with relative
-clustering of near-degenerate roots so that downstream case dispatch sees a
-discrete multiplicity pattern.  Jordan block sizes are recovered from
+the roots of a characteristic polynomial, with relative clustering of
+near-degenerate roots so that downstream case dispatch sees a discrete
+multiplicity pattern.  For a Markov matrix that polynomial is the one of
+the deflated (d-1)x(d-1) block, at most a cubic with closed-form roots,
+and the eigenvalue 1 is exact.  Jordan block sizes are recovered from
 numerical rank sequences; the ``blocks`` of :func:`jordan_structure` hold
 every clustered eigenvalue, so its callers need no second spectrum.
 
@@ -107,12 +109,12 @@ class JordanStructure:
 
 @dataclasses.dataclass(frozen=True)
 class RealJordanDecomposition:
-    """Real similarity M = T @ canonical @ inv(T).
+    """Real similarity M = T @ canonical @ inv(T) of a diagonalisable M.
 
-    ``canonical`` is real block diagonal: J_n(lambda) blocks for real
-    eigenvalues and 2x2 [[a, b], [-b, a]] blocks for conjugate pairs a+-bi.
-    ``cond`` is the condition number of T; ``ill_conditioned`` flags
-    cond > 1e8 (the result is still returned).
+    The repeated-pair deciders build it with the pair's eigenspace in the
+    last two columns, so ``canonical`` is diagonal.  ``cond`` is the
+    condition number of T; ``ill_conditioned`` flags cond > 1e8 (the
+    result is still returned).
     """
 
     T: np.ndarray
@@ -294,23 +296,32 @@ def _pair_conjugates(
 
 
 def eigenvalues(M: object, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """Clustered spectrum from closed-form characteristic-polynomial roots.
+    """Clustered spectrum from the roots of a characteristic polynomial.
 
-    Roots within ``spec_cluster`` (relative to the spectral radius, floored
-    at 1) merge into one root with summed multiplicity at their mean.  For a
-    Markov input the root nearest 1 is snapped to exactly 1.
+    A Markov input has M 1 = 1, so its spectrum is {1} together with that of
+    the deflated (d-1)x(d-1) block B = (m_ij - m_dj), i, j < d: the roots
+    of B's polynomial get an eigenvalue 1 that is exact by construction.
+    Any other input takes the roots of its full degree-d polynomial.  Roots
+    within ``spec_cluster`` (relative to the spectral radius, floored at 1)
+    merge into one root with summed multiplicity at their mean.
     """
     A = as_matrix(M)
-    coeffs = _roots.char_poly(A)
+    markov = is_markov(A, tol)
+    B = A[:-1, :-1] - A[-1, :-1] if markov else A
+    coeffs = _roots.char_poly(B)
     raw = _roots.poly_roots(coeffs)
     radius = max((abs(z) for z in raw), default=1.0)
-    raw = _consolidate_multiples(raw, coeffs, radius, A, tol)
+    raw = _consolidate_multiples(raw, coeffs, radius, B, tol)
+    if markov:
+        raw = [1.0 + 0.0j, *raw]
     threshold = tol.spec_cluster * max(1.0, radius)
 
     clusters, merged = _cluster_roots(raw, threshold)
     clusters = _pair_conjugates(clusters)
 
-    if is_markov(A, tol):
+    if markov:
+        # a cluster that merges the deflated 1 with roots of B sits at
+        # their mean; the eigenvalue itself is exactly 1
         k = min(range(len(clusters)), key=lambda i: abs(clusters[i][0] - 1.0))
         clusters[k] = (1.0 + 0.0j, clusters[k][1])
 
@@ -412,122 +423,3 @@ def poly_in(coeffs: object, A: object) -> np.ndarray:
         power = power @ B
         out += c * power
     return out
-
-
-def _orthonormal_nullspace(B: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Columns spanning the numerical null space, deterministic signs."""
-    _u, sv, vh = np.linalg.svd(B)
-    threshold = tol.rank * sv[0] if sv[0] > 0.0 else np.inf
-    ns = vh[sv < threshold].conj().T if sv[0] > 0.0 else vh.conj().T
-    cols = []
-    for j in range(ns.shape[1]):
-        v = ns[:, j]
-        k = int(np.argmax(np.abs(v)))
-        if v[k].real < 0.0 or (v[k].real == 0.0 and v[k].imag < 0.0):
-            v = -v
-        cols.append(v)
-    return np.column_stack(cols) if cols else np.zeros((B.shape[0], 0))
-
-
-def _project_off(V: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    W = V.copy()
-    for b in basis:
-        W = W - np.outer(b, b.conj() @ W)
-    return W
-
-
-def _top_direction(V: np.ndarray) -> np.ndarray:
-    u, sv, _vh = np.linalg.svd(V, full_matrices=False)
-    v = u[:, 0]
-    k = int(np.argmax(np.abs(v)))
-    if v[k].real < 0.0 or (v[k].real == 0.0 and v[k].imag < 0.0):
-        v = -v
-    return v
-
-
-def _chain_columns(
-    A: np.ndarray, lam: float, sizes: tuple[int, ...], tol: Tolerances
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Jordan chains for a real eigenvalue; returns (columns, blocks)."""
-    d = A.shape[0]
-    B = A - lam * np.eye(d)
-    smax = max(sizes)
-    null_bases = [np.zeros((d, 0))]
-    P = np.eye(d)
-    for _ in range(smax):
-        P = P @ B
-        null_bases.append(_orthonormal_nullspace(P, tol))
-
-    columns: list[np.ndarray] = []
-    bottom_vectors: list[np.ndarray] = []  # chain bottoms already placed in N_1
-    for s in sorted(sizes, reverse=True):
-        if s == 1:
-            cand = _project_off(null_bases[1], bottom_vectors)
-            v = _top_direction(cand)
-            columns.append(v.real)
-            bottom_vectors.append(v / np.linalg.norm(v))
-            continue
-        # top vector: in null(B^s) but not null(B^{s-1})
-        prev = [null_bases[s - 1][:, j] for j in range(null_bases[s - 1].shape[1])]
-        cand = _project_off(null_bases[s], prev)
-        v = _top_direction(cand).real
-        chain = [v]
-        for _ in range(s - 1):
-            chain.append(B @ chain[-1])
-        chain.reverse()  # bottom (eigenvector) first
-        columns.extend(chain)
-        b0 = chain[0]
-        bottom_vectors.append(b0 / np.linalg.norm(b0))
-
-    blocks = []
-    for s in sorted(sizes, reverse=True):
-        J = lam * np.eye(s) + np.diag(np.ones(s - 1), 1)
-        blocks.append(J)
-    return columns, blocks
-
-
-def real_jordan(M: object, tol: Tolerances = DEFAULT_TOL) -> RealJordanDecomposition:
-    """Real Jordan decomposition with deterministic eigenvalue ordering.
-
-    Real eigenvalues come first, sorted descending (so 1 leads for a Markov
-    input), followed by conjugate pairs sorted by descending real part;
-    each pair contributes a 2x2 rotation-scaling block.
-    """
-    A = as_matrix(M)
-    js = jordan_structure(A, tol)
-
-    real_blocks = sorted(
-        (b for b in js.blocks if b[0].imag == 0.0), key=lambda b: -b[0].real
-    )
-    pair_blocks = sorted(
-        (b for b in js.blocks if b[0].imag > 0.0), key=lambda b: (-b[0].real, b[0].imag)
-    )
-
-    columns: list[np.ndarray] = []
-    diag_blocks: list[np.ndarray] = []
-    for z, sizes in real_blocks:
-        cols, blks = _chain_columns(A, z.real, sizes, tol)
-        columns.extend(cols)
-        diag_blocks.extend(blks)
-    for z, sizes in pair_blocks:
-        if sizes != (1,) * len(sizes):
-            raise IllConditionedError("non-trivial complex Jordan blocks unsupported")
-        B = A.astype(complex) - z * np.eye(A.shape[0])
-        ns = _orthonormal_nullspace(B, tol)
-        for j in range(ns.shape[1]):
-            w = ns[:, j]
-            columns.extend([w.real, w.imag])
-            diag_blocks.append(np.array([[z.real, z.imag], [-z.imag, z.real]]))
-
-    T = np.column_stack(columns)
-    canonical = scipy.linalg.block_diag(*diag_blocks)
-    cond = float(np.linalg.cond(T))
-    return RealJordanDecomposition(
-        T=T, canonical=canonical, cond=cond, ill_conditioned=cond > 1e8
-    )
-
-
-def reconstruction_residual(decomp: RealJordanDecomposition, M: np.ndarray) -> float:
-    """max |T C T^-1 - M|, the decomposition's defect."""
-    R = decomp.T @ decomp.canonical @ np.linalg.inv(decomp.T)
-    return float(np.abs(R - M).max())

@@ -556,6 +556,35 @@ class TestD4Dispatch:
                 assert decide(mat_exp(t * Q)).verdict is Verdict.EMBEDDABLE
 
 
+class TestNearOne:
+    """A double eigenvalue near 1 keeps its pattern: the exact eigenvalue 1
+    is deflated before any root is found, so no root near it is split off
+    the pair or merged into the 1."""
+
+    @pytest.mark.parametrize("lam", [0.85, 0.9, 0.95])
+    def test_kendall_pairs_sharing_lambda(self, lam):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            u1, u2 = rng.uniform(0.0, 1.0, 2)
+            M = np.zeros((4, 4))
+            M[:2, :2] = kendall_block((1 - lam) * u1, (1 - lam) * (1 - u1))
+            M[2:, 2:] = kendall_block((1 - lam) * u2, (1 - lam) * (1 - u2))
+            res = decide(M)
+            assert res.verdict is Verdict.EMBEDDABLE, (u1, u2)
+            assert res.case.pattern is Pattern.D4_DEG2_DOUBLE_POS, (u1, u2)
+
+    def test_equal_input_lifts(self):
+        rng = np.random.default_rng(1)
+        c = 1 - 0.9
+        for _ in range(300):
+            ray = rng.uniform(0.1, 1.0, 3)
+            M = np.eye(4)
+            M[1:, 1:] = (1 - c) * np.eye(3) + np.tile(c * ray / ray.sum(), (3, 1))
+            res = decide(M)
+            assert res.verdict is Verdict.EMBEDDABLE, ray
+            assert res.case.pattern is Pattern.D4_DEG2_DOUBLE_POS, ray
+
+
 class TestNecessaryShortCircuits:
     def test_permutation_matrix_rejected(self):
         # cyclic permutation: complex eigenvalues on the unit circle and a
