@@ -3,8 +3,9 @@
 ``decide``, ``embed_d4`` and the public d=3 deciders look up a matrix's
 case pattern in one decision table, ``_DECIDERS``, whose entry constructs
 every candidate generator the case theory allows: closed-form polynomial
-logarithms for the principal-branch cases, branch enumeration for
-complex-pair spectra, the extremal commuting pair for the equal-input d=3
+logarithms for the principal-branch cases, for complex-pair spectra the
+branches k of one interval (the branch-k logarithm R_0 + k D has rates
+affine in k), the extremal commuting pair for the equal-input d=3
 case with a negative double eigenvalue, and an exact feasibility search
 over the real square roots of -I (a sheet of a hyperbola) for the cases
 with a repeated eigenvalue pair: it evaluates a finite set of candidate
@@ -38,7 +39,6 @@ from .errors import (
 )
 from .kernel import (
     DEFAULT_TOL,
-    RealJordanDecomposition,
     Tolerances,
     as_matrix,
     is_generator,
@@ -475,8 +475,9 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 
 def _pair_decomposition(
     M: np.ndarray, fixed_eigs: list[float], pair_value: float, tol: Tolerances
-) -> RealJordanDecomposition:
-    """Similarity with the repeated-pair eigenspace in the last two columns.
+) -> np.ndarray:
+    """Real similarity T with the repeated-pair eigenspace in its last two
+    columns, so inv(T) M T is diagonal.
 
     The first column is the all-ones eigenvector, so any log candidate
     assembled in this basis has zero row sums by construction.  Directions
@@ -510,27 +511,22 @@ def _pair_decomposition(
             raise IllConditionedError("eigenspace deficient for the fixed block")
         columns.append(pool(lam)[i])
     columns.extend(pair_cols)
-
-    T = np.column_stack(columns)
-    canonical = np.diag(np.array([1.0] + list(fixed_eigs) + [pair_value, pair_value]))
-    cond = float(np.linalg.cond(T))
-    return RealJordanDecomposition(T, canonical, cond, cond > 1e8)
+    return np.column_stack(columns)
 
 
 def _sheet_constraints(
-    decomp: RealJordanDecomposition, fixed_block: np.ndarray, log_modulus: float
+    T: np.ndarray, fixed_block: np.ndarray, log_modulus: float
 ) -> np.ndarray:
     """Rows (f, a, b, c), one per off-diagonal entry of
     R = T (fixed_block (+) (log_modulus I + angle [[x, -z], [y, -x]])) T^-1,
     which is f + angle (a x + b y + c z)."""
-    S = decomp.T
-    d = S.shape[0]
-    Sinv = np.linalg.inv(S)
+    d = T.shape[0]
+    Tinv = np.linalg.inv(T)
     fixed = np.zeros((d, d))
     fixed[: d - 2, : d - 2] = fixed_block
     fixed[d - 2 :, d - 2 :] = log_modulus * np.eye(2)
-    base = S @ fixed @ Sinv
-    (u1, u2), (v1, v2) = S[:, d - 2 :].T, Sinv[d - 2 :]
+    base = T @ fixed @ Tinv
+    (u1, u2), (v1, v2) = T[:, d - 2 :].T, Tinv[d - 2 :]
     Wx = np.outer(u1, v1) - np.outer(u2, v2)
     Wy = np.outer(u2, v1)
     Wz = -np.outer(u1, v2)
@@ -607,7 +603,7 @@ def _sheet_search(
 
 
 def hyperbola_search(
-    decomp: RealJordanDecomposition,
+    T: np.ndarray,
     fixed_block: object,
     log_modulus: float,
     angle: float,
@@ -615,7 +611,7 @@ def hyperbola_search(
 ) -> tuple[SearchStatus, HyperbolaPoint | None]:
     """Feasibility of R(x,y,z) = T (fixed + (log_modulus I + angle I_xyz)) T^-1.
 
-    The last two columns of ``decomp.T`` must span the repeated-eigenvalue
+    The last two columns of ``T`` must span the repeated-eigenvalue
     pair eigenspace; ``fixed_block`` is the leading log-domain block.  Each
     off-diagonal entry g_i of R is affine in p = (x, y, z), and R is a
     generator iff p lies in the polyhedron P = {g_i >= 0} and on the sheet
@@ -646,26 +642,25 @@ def hyperbola_search(
     Inconclusive -- otherwise: the best candidate sits in that band.
     """
     fixed = np.atleast_2d(np.asarray(fixed_block, dtype=float))
-    rows = _sheet_constraints(decomp, fixed, log_modulus)
+    rows = _sheet_constraints(T, fixed, log_modulus)
     return _sheet_search(rows * (1.0, angle, angle, angle), tol)
 
 
 def rotation_log(
-    decomp: RealJordanDecomposition,
+    T: np.ndarray,
     fixed_block: object,
     log_modulus: float,
     angle: float,
     point: HyperbolaPoint,
 ) -> np.ndarray:
     """Assemble the real logarithm a hyperbola point parametrises."""
-    S = decomp.T
-    d = S.shape[0]
+    d = T.shape[0]
     block = np.zeros((d, d))
     block[: d - 2, : d - 2] = np.atleast_2d(np.asarray(fixed_block, float))
     block[d - 2 :, d - 2 :] = log_modulus * np.eye(2) + angle * np.array(
         [[point.x, -point.z], [point.y, -point.x]]
     )
-    return S @ block @ np.linalg.inv(S)
+    return T @ block @ np.linalg.inv(T)
 
 
 # ---------------------------------------------------------------------------
@@ -777,18 +772,18 @@ def _search_pair_case(
     if not ks and principal is None:
         return _not_embeddable(Reason.K_RANGE_EMPTY, tag)
 
-    decomp = _pair_decomposition(A, fixed_eigs, pair_value, tol)
+    T = _pair_decomposition(A, fixed_eigs, pair_value, tol)
     # fixed log block: 0 for each unit eigenvalue, log(lam) otherwise
     fixed_block = np.diag([0.0] + [0.0 if l == 1.0 else math.log(l) for l in fixed_eigs])
 
-    rows = _sheet_constraints(decomp, fixed_block, log_mod)
+    rows = _sheet_constraints(T, fixed_block, log_mod)
     inconclusive = False
     found_extra = False
     for k in ks:
         angle = (2 * k + 1) * math.pi if odd else 2 * k * math.pi
         status, point = _sheet_search(rows * (1.0, angle, angle, angle), tol)
         if status is SearchStatus.FOUND:
-            Q = rotation_log(decomp, fixed_block, log_mod, angle, point)
+            Q = rotation_log(T, fixed_block, log_mod, angle, point)
             cand = _candidate(A, Q, k, Construction.HYPERBOLA, tol)
             if cand is not None:
                 gens.append(cand)
@@ -896,38 +891,56 @@ def _principal_only(
     return _embeddable([cand], Uniqueness.UNIQUE, tag)
 
 
+def _branch_interval(R0: np.ndarray, D: np.ndarray, tol: Tolerances) -> range:
+    """The integers k with every off-diagonal entry of R0 + k D >= -tol.nonneg.
+
+    D has zero row sums and eigenvalues +-2 pi i, so by Gershgorin neither D
+    nor -D is a generator: its off-diagonal entries take both signs, and
+    the interval is bounded.  A one-signed D is a numerical failure.
+    """
+    off = ~np.eye(len(D), dtype=bool)
+    slack, step = R0[off] + tol.nonneg, D[off]
+    up, down = step > 0.0, step < 0.0
+    if not (up.any() and down.any()):
+        raise IllConditionedError("branch step has off-diagonal entries of one sign")
+    with np.errstate(over="ignore"):
+        lo = float((-slack[up] / step[up]).max())
+        hi = float((-slack[down] / step[down]).min())
+    if (slack[~(up | down)] < 0.0).any() or lo > hi:
+        return range(0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise IllConditionedError("branch interval has no finite bound")
+    return range(math.ceil(lo), math.floor(hi) + 1)
+
+
 def _complex_branches(
     A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool = False
 ) -> EmbeddingResult:
     """A complex-conjugate pair (theta beside a real lambda for
-    D4_SIMPLE_COMPLEX): enumerate every branch logarithm in the sector."""
+    D4_SIMPLE_COMPLEX).  The spectral-mapping coefficients are affine in
+    the branch k, so the branch-k logarithm is R_0 + k D with
+    D = poly_in(c(1) - c(0), A - I), and the generator branches are the
+    integers of one interval; each is re-verified."""
     stop = _gate(tag, _lams(tag) if "theta" in tag.eigen else [], tol)
     if stop is not None:
         return stop
-    lam = complex(tag.eigen.get("theta", tag.eigen.get("lambda")))
-    r = abs(lam)
+    r = abs(complex(tag.eigen.get("theta", tag.eigen.get("lambda"))))
     if r >= 1.0 - tol.nonneg:
         return _not_embeddable(Reason.UNIT_CIRCLE_EIGENVALUE, tag)
     if r <= tol.nonneg:
         return _not_embeddable(Reason.DET_NONPOSITIVE, tag)
 
-    # the branch window: generator eigenvalues lie in the sector
-    # |Im| <= slope |Re|, slope = cot(pi/d)
-    slope = 1.0 / math.sqrt(3.0) if tag.dim == 3 else 1.0
-    limit = slope * abs(math.log(r)) * (1.0 + 1e-12) + 1e-9
-    kmax = int(math.floor((limit + abs(math.atan2(lam.imag, lam.real))) / (2.0 * math.pi))) + 1
+    try:
+        c0 = smt_coeffs(tag, k=0, tol=tol)
+        c1 = smt_coeffs(tag, k=1, tol=tol)
+    except DegenerateDenominatorError:
+        return _undecided(Reason.ILL_CONDITIONED, tag)
+    Ash = A - np.eye(A.shape[0])
+    R0, D = poly_in(c0, Ash), poly_in(np.subtract(c1, c0), Ash)
     gens = []
     uncertain = False
-    Ash = A - np.eye(A.shape[0])
-    for k in range(-kmax, kmax + 1):
-        try:
-            coeffs = smt_coeffs(tag, k=k, tol=tol)
-        except DegenerateDenominatorError:
-            return _undecided(Reason.ILL_CONDITIONED, tag)
-        R = poly_in(coeffs, Ash)
-        if not is_generator(R, tol):
-            continue
-        cand = _candidate(A, R, k, Construction.POLY_SMT, tol)
+    for k in _branch_interval(R0, D, tol):
+        cand = _candidate(A, R0 + k * D, k, Construction.POLY_SMT, tol)
         if cand is not None:
             gens.append(cand)
         else:
@@ -993,7 +1006,8 @@ def embed_d3_cyclic_real(
 def embed_d3_complex(
     M: object, tag: CaseTag | None = None, tol: Tolerances = DEFAULT_TOL
 ) -> EmbeddingResult:
-    """d=3 with a complex-conjugate pair: enumerate all branch logarithms."""
+    """d=3 with a complex-conjugate pair: every branch logarithm in the
+    interval of k where its rates are nonnegative."""
     return _complex_branches(*_tagged(M, tag, tol), tol)
 
 

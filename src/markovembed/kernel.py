@@ -66,7 +66,6 @@ class Spectrum:
     """
 
     roots: tuple[tuple[complex, int], ...]
-    clustered: bool
 
     @property
     def dim(self) -> int:
@@ -95,32 +94,6 @@ class JordanStructure:
     @property
     def dim(self) -> int:
         return sum(sum(sizes) for _, sizes in self.blocks)
-
-    @property
-    def is_cyclic(self) -> bool:
-        return all(len(sizes) == 1 for _, sizes in self.blocks)
-
-    def sizes_at(self, value: complex, tol: float = 1e-9) -> tuple[int, ...]:
-        for z, sizes in self.blocks:
-            if abs(z - value) <= tol * max(1.0, abs(value)):
-                return sizes
-        return ()
-
-
-@dataclasses.dataclass(frozen=True)
-class RealJordanDecomposition:
-    """Real similarity M = T @ canonical @ inv(T) of a diagonalisable M.
-
-    The repeated-pair deciders build it with the pair's eigenspace in the
-    last two columns, so ``canonical`` is diagonal.  ``cond`` is the
-    condition number of T; ``ill_conditioned`` flags cond > 1e8 (the
-    result is still returned).
-    """
-
-    T: np.ndarray
-    canonical: np.ndarray
-    cond: float
-    ill_conditioned: bool
 
 
 def as_matrix(M: object) -> np.ndarray:
@@ -249,50 +222,14 @@ def _consolidate_multiples(
     return out
 
 
-def _cluster_roots(
-    raw: list[complex], threshold: float
-) -> tuple[list[tuple[complex, int]], bool]:
-    groups = _group_by_distance(raw, threshold)
-    merged = any(len(g) > 1 for g in groups)
-
+def _cluster_roots(raw: list[complex], threshold: float) -> list[tuple[complex, int]]:
     clusters: list[tuple[complex, int]] = []
-    for g in groups:
+    for g in _group_by_distance(raw, threshold):
         mean = sum(g) / len(g)
         if abs(mean.imag) <= threshold:
             mean = complex(mean.real, 0.0)
         clusters.append((mean, len(g)))
-    return clusters, merged
-
-
-def _pair_conjugates(
-    clusters: list[tuple[complex, int]]
-) -> list[tuple[complex, int]]:
-    # force exact conjugate symmetry on the clustered values
-    out: list[tuple[complex, int]] = []
-    neg = [(z, m) for z, m in clusters if z.imag < 0.0]
-    used = [False] * len(neg)
-    for z, m in clusters:
-        if z.imag > 0.0:
-            best, best_j = None, -1
-            for j, (w, mw) in enumerate(neg):
-                if used[j] or mw != m:
-                    continue
-                dist = abs(z - w.conjugate())
-                if best is None or dist < best:
-                    best, best_j = dist, j
-            if best_j >= 0:
-                used[best_j] = True
-                zz = (z + neg[best_j][0].conjugate()) / 2.0
-                out.append((zz, m))
-                out.append((zz.conjugate(), m))
-            else:
-                out.append((z, m))
-        elif z.imag == 0.0:
-            out.append((z, m))
-    for j, (w, mw) in enumerate(neg):
-        if not used[j]:
-            out.append((w, mw))
-    return out
+    return clusters
 
 
 def eigenvalues(M: object, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
@@ -316,8 +253,7 @@ def eigenvalues(M: object, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
         raw = [1.0 + 0.0j, *raw]
     threshold = tol.spec_cluster * max(1.0, radius)
 
-    clusters, merged = _cluster_roots(raw, threshold)
-    clusters = _pair_conjugates(clusters)
+    clusters = _cluster_roots(raw, threshold)
 
     if markov:
         # a cluster that merges the deflated 1 with roots of B sits at
@@ -326,7 +262,7 @@ def eigenvalues(M: object, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
         clusters[k] = (1.0 + 0.0j, clusters[k][1])
 
     clusters.sort(key=lambda zm: (-zm[0].real, zm[0].imag))
-    return Spectrum(roots=tuple(clusters), clustered=merged)
+    return Spectrum(roots=tuple(clusters))
 
 
 def _numerical_rank(B: np.ndarray, tol: Tolerances) -> int:

@@ -1,3 +1,4 @@
+import collections
 import math
 import time
 
@@ -7,6 +8,8 @@ import scipy.linalg
 
 from markovembed import (
     Construction,
+    DegenerateDenominatorError,
+    IllConditionedError,
     NonpositiveParameterError,
     Pattern,
     Reason,
@@ -30,8 +33,8 @@ from markovembed import (
     smt_coeffs,
     uniqueness_certificates,
 )
-from markovembed.embed import _pair_decomposition, _sheet_search, rotation_log
-from markovembed.kernel import DEFAULT_TOL
+from markovembed.embed import _branch_interval, _pair_decomposition, _sheet_search, rotation_log
+from markovembed.kernel import DEFAULT_TOL, scale_of
 
 from conftest import random_generator, random_markov
 from oracles import qr_eigenvalues, match_spectra
@@ -327,6 +330,96 @@ class TestD3Complex:
             res = embed_d3_complex(M, tag)
             assert res.verdict is Verdict.EMBEDDABLE
             assert any(np.abs(g.matrix - Q).max() < 1e-8 for g in res.generators)
+
+
+COMPLEX_PATTERNS = (Pattern.D3_COMPLEX_PAIR, Pattern.D4_DEG3_COMPLEX, Pattern.D4_SIMPLE_COMPLEX)
+
+
+def complex_corpus(pattern, seed, count=30):
+    """Seeded matrices of one complex-pair pattern: exp(Q) round trips,
+    random Markov matrices, and the strong-rotation circulant, which has
+    two generator branches (lifted to d=4 by a unit state, or by a slow
+    fourth state for D4_SIMPLE_COMPLEX)."""
+    rng = np.random.default_rng(seed)
+    lift = pattern is Pattern.D4_DEG3_COMPLEX
+    d = 3 if pattern is Pattern.D3_COMPLEX_PAIR or lift else 4
+    out = []
+    for draw in (
+        lambda: mat_exp(random_generator(rng, d, norm_max=4.0)),
+        lambda: random_markov(rng, d),
+    ):
+        found = 0
+        while found < count:
+            M = draw()
+            M = scipy.linalg.block_diag([[1.0]], M) if lift else M
+            if classify(M).pattern is pattern:
+                out.append(M)
+                found += 1
+    Q = np.zeros((4, 4))
+    Q[:3, :3] = 2 * math.pi / math.sqrt(3.0) * 1.2 * np.array(
+        [[-1, 1, 0], [0, -1, 1], [1, 0, -1.0]]
+    )
+    if pattern is Pattern.D3_COMPLEX_PAIR:
+        Q = Q[:3, :3]
+    elif pattern is Pattern.D4_SIMPLE_COMPLEX:
+        Q[3] = (0.5 / 3, 0.5 / 3, 0.5 / 3, -0.5)
+    out.append(mat_exp(Q))
+    return out
+
+
+def scan_branches(M, tag, kmax=10):
+    """Brute force: the branches |k| <= kmax whose spectral-mapping
+    logarithm is a generator passing the residual certificate; none when
+    the coefficients do not exist (a negative real eigenvalue)."""
+    A = M - np.eye(len(M))
+    try:
+        coeffs = {k: smt_coeffs(tag, k=k) for k in range(-kmax, kmax + 1)}
+    except DegenerateDenominatorError:
+        return set()
+    found = set()
+    for k, c in coeffs.items():
+        R = poly_in(c, A)
+        if is_generator(R) and np.abs(mat_exp(R) - M).max() <= DEFAULT_TOL.residual * scale_of(M):
+            found.add(k)
+    return found
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBranchInterval:
+    """Complex-pair branches R_k = R_0 + k D, k in one interval."""
+
+    @pytest.mark.parametrize("pattern", COMPLEX_PATTERNS, ids=lambda p: p.name)
+    def test_coefficients_affine_in_branch(self, pattern):
+        for M in complex_corpus(pattern, seed=3, count=10):
+            tag = classify(M)
+            try:
+                c0, c1 = (np.array(smt_coeffs(tag, k=k)) for k in (0, 1))
+            except DegenerateDenominatorError:
+                continue
+            for k in range(-3, 4):
+                ck = np.array(smt_coeffs(tag, k=k))
+                assert np.abs(ck - (c0 + k * (c1 - c0))).max() <= 1e-12 * np.abs(ck).max()
+
+    @pytest.mark.parametrize("pattern", COMPLEX_PATTERNS, ids=lambda p: p.name)
+    def test_branches_match_brute_force_scan(self, pattern):
+        outcomes = collections.Counter()
+        for M in complex_corpus(pattern, seed=11):
+            res = decide(M)
+            assert res.verdict is not Verdict.UNDECIDED
+            assert {g.branch for g in res.generators} == scan_branches(M, classify(M))
+            outcomes[res.reason or len(res.generators)] += 1
+        assert outcomes[Reason.NO_BRANCH_FEASIBLE] > 0
+        assert outcomes[2] > 0
+
+    def test_interval_edges(self):
+        R0 = np.array([[-3.0, 1.0, 2.0], [0.5, -0.5, 0.0], [1.0, 1.0, -2.0]])
+        D = np.array([[0.0, 0.5, -0.5], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        # rows: 1 + k/2 >= 0, 2 - k/2 >= 0, 0.5 - k >= 0; zero steps elsewhere
+        assert _branch_interval(R0, D, DEFAULT_TOL) == range(-2, 1)
+        R0[2, 0] = -1.0  # a negative rate that no branch moves
+        assert _branch_interval(R0, D, DEFAULT_TOL) == range(0)
+        with pytest.raises(IllConditionedError):
+            _branch_interval(R0, np.abs(D), DEFAULT_TOL)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -116,8 +116,9 @@ class TestJordan:
         M = (1 - c) * np.eye(4) + np.full((4, 4), c / 4)
         js = jordan_structure(M)
         assert js.min_poly_degree == 2
-        assert js.sizes_at(lam) == (1, 1, 1)
-        assert js.sizes_at(1.0) == (1,)
+        (one, at_one), (z, at_lam) = js.blocks
+        assert one == 1.0 and at_one == (1,)
+        assert abs(z - lam) <= 1e-9 and at_lam == (1, 1, 1)
 
     def test_jordan_chain_block(self):
         # absorbing chain with equal rates: one 3-chain at exp(-r)
@@ -125,14 +126,16 @@ class TestJordan:
         Q = np.array([[-r, r, 0, 0], [0, -r, r, 0], [0, 0, -r, r], [0, 0, 0, 0.0]])
         js = jordan_structure(mat_exp(Q))
         assert js.min_poly_degree == 4
-        assert js.sizes_at(math.exp(-r)) == (3,)
-        assert js.is_cyclic
+        (one, at_one), (z, at_lam) = js.blocks
+        assert one == 1.0 and at_one == (1,)
+        assert abs(z - math.exp(-r)) <= 1e-9 and at_lam == (3,)
 
     def test_unit_eigenvalue_never_defective(self, rng):
         for _ in range(300):
             M = random_markov(rng, 3)
             js = jordan_structure(M)
-            assert js.sizes_at(1.0) == (1,) * len(js.sizes_at(1.0))
+            at_one = [sizes for z, sizes in js.blocks if z == 1.0]
+            assert len(at_one) == 1 and set(at_one[0]) == {1}
 
 
 class TestMatExp:
