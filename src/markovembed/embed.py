@@ -5,11 +5,11 @@ case pattern in one decision table, ``_DECIDERS``, whose entry constructs
 every candidate generator the case theory allows: closed-form polynomial
 logarithms for the principal-branch cases, for complex-pair spectra the
 branches k of one interval (the branch-k logarithm R_0 + k D has rates
-affine in k), the extremal commuting pair for the equal-input d=3
-case with a negative double eigenvalue, and an exact feasibility search
-over the real square roots of -I (a sheet of a hyperbola) for the cases
-with a repeated eigenvalue pair: it evaluates a finite set of candidate
-points that holds a feasible point whenever one exists.
+affine in k), and an exact feasibility search over the real square roots
+of -I (a sheet of a hyperbola) for the cases with a repeated eigenvalue
+pair, d=3 equal-input matrices with a negative double eigenvalue
+included: it evaluates a finite set of candidate points that holds a
+feasible point whenever one exists.
 
 Every candidate that is reported has been re-verified: it passes
 ``is_generator`` and the residual certificate ||exp(Q) - M|| <= residual
@@ -65,8 +65,6 @@ class Construction(enum.Enum):
     PRINCIPAL_LOG = "PRINCIPAL_LOG"
     POLY_SMT = "POLY_SMT"
     HYPERBOLA = "HYPERBOLA"
-    EQ_INPUT_EXTREMAL_PLUS = "EQ_INPUT_EXTREMAL_PLUS"
-    EQ_INPUT_EXTREMAL_MINUS = "EQ_INPUT_EXTREMAL_MINUS"
 
 
 class Reason(enum.Enum):
@@ -79,11 +77,9 @@ class Reason(enum.Enum):
     LOG_NOT_GENERATOR = "LOG_NOT_GENERATOR"
     NO_BRANCH_FEASIBLE = "NO_BRANCH_FEASIBLE"
     K_RANGE_EMPTY = "K_RANGE_EMPTY"
-    EXCEEDS_EXTREMAL_BOUND = "EXCEEDS_EXTREMAL_BOUND"
     SEARCH_INCONCLUSIVE = "SEARCH_INCONCLUSIVE"
     NEAR_BOUNDARY = "NEAR_BOUNDARY"
     ILL_CONDITIONED = "ILL_CONDITIONED"
-    NOT_EQUAL_INPUT = "NOT_EQUAL_INPUT"
     RESIDUAL_CHECK_FAILED = "RESIDUAL_CHECK_FAILED"
 
 
@@ -138,6 +134,20 @@ def _undecided(reason, case=None) -> EmbeddingResult:
     return EmbeddingResult(Verdict.UNDECIDED, (), Uniqueness.UNKNOWN, reason, case)
 
 
+def _zero_row_sums(Q: np.ndarray) -> np.ndarray:
+    """A copy of Q with each row sum subtracted from its diagonal entry,
+    which leaves minus the off-diagonal row sum there.
+
+    A logarithm built as a polynomial in M - I, or in a basis whose first
+    column is all ones, has zero row sums by construction; what is left of
+    them is rounding, which grows with the coefficients (about 1e-9 at
+    coefficients of 1e6) and is no evidence against the candidate.
+    """
+    Q = Q.copy()
+    Q.reshape(-1)[:: len(Q) + 1] -= Q.sum(axis=1)
+    return Q
+
+
 def _candidate(
     M: np.ndarray,
     Q: np.ndarray,
@@ -146,6 +156,7 @@ def _candidate(
     tol: Tolerances,
 ) -> GeneratorCandidate | None:
     """Re-verify a proposed generator; None when it fails either check."""
+    Q = _zero_row_sums(Q)
     if not is_generator(Q, tol):
         return None
     residual = float(np.abs(mat_exp(Q) - M).max())
@@ -346,7 +357,7 @@ def smt_coeffs(
 
 
 # ---------------------------------------------------------------------------
-# equal-input d=3 with a negative double eigenvalue
+# the extremal equal-input pair of d=3 (the paper's closed form)
 # ---------------------------------------------------------------------------
 
 
@@ -384,74 +395,6 @@ def eq_input_extremal_generators(
         )
 
     return build(1.0), build(-1.0)
-
-
-def _equal_input_params(
-    M: np.ndarray, tol: Tolerances
-) -> tuple[np.ndarray, float] | None:
-    """Column parameters (c_1..c_d, c) if M is equal-input, else None."""
-    d = M.shape[0]
-    c_vec = np.empty(d)
-    for j in range(d):
-        off = [M[i, j] for i in range(d) if i != j]
-        c_vec[j] = float(np.mean(off))
-        if max(abs(v - c_vec[j]) for v in off) > 10.0 * tol.rowsum:
-            return None
-    c = float(c_vec.sum())
-    rebuilt = (1.0 - c) * np.eye(d) + np.tile(c_vec, (d, 1))
-    if np.abs(rebuilt - M).max() > 10.0 * tol.rowsum:
-        return None
-    return c_vec, c
-
-
-def embed_d3_eq_input_neg(
-    M: object, tol: Tolerances = DEFAULT_TOL, case: CaseTag | None = None
-) -> EmbeddingResult:
-    """Equal-input d=3 matrix with a negative double eigenvalue.
-
-    Embeddable when c <= 1 + exp(-delta_min) on its ray, with two
-    commuting-deformation generators (the extremal pair at the boundary).
-    The bound is exact on the constant ray only: on skewed rays it rejects
-    some embeddable matrices (known fault, ROADMAP item 1).
-    """
-    A = as_matrix(M)
-    params = _equal_input_params(A, tol)
-    if params is None:
-        return _undecided(Reason.NOT_EQUAL_INPUT, case)
-    c_vec, c = params
-    if c_vec.min() <= tol.nonneg:
-        return _undecided(Reason.NEAR_BOUNDARY, case)
-
-    dmin = delta_min(*c_vec)
-    cmax = 1.0 + math.exp(-dmin)
-    excess = c - cmax
-    boundary_eps = 1e-12 * max(1.0, c)
-    if excess > tol.nonneg:
-        return _not_embeddable(Reason.EXCEEDS_EXTREMAL_BOUND, case)
-    if excess > boundary_eps:
-        return _undecided(Reason.NEAR_BOUNDARY, case)
-    if c - 1.0 <= tol.nonneg:
-        return _undecided(Reason.NEAR_BOUNDARY, case)
-
-    qp, qm = eq_input_extremal_generators(*c_vec)
-    if abs(excess) <= boundary_eps:
-        tau = 0.0
-    else:
-        tau = math.log((cmax - 1.0) / (c - 1.0)) / cmax
-    scaled = (cmax / c) * c_vec
-    qc = np.tile(scaled, (3, 1)) - cmax * np.eye(3)
-
-    gens = []
-    for Q, construction in (
-        (qp + tau * qc, Construction.EQ_INPUT_EXTREMAL_PLUS),
-        (qm + tau * qc, Construction.EQ_INPUT_EXTREMAL_MINUS),
-    ):
-        cand = _candidate(A, Q, 0, construction, tol)
-        if cand is not None:
-            gens.append(cand)
-    if not gens:
-        return _undecided(Reason.RESIDUAL_CHECK_FAILED, case)
-    return _embeddable(gens, Uniqueness.MULTIPLE_KNOWN, case)
 
 
 # ---------------------------------------------------------------------------
@@ -728,13 +671,18 @@ def _lams(tag: CaseTag) -> list[float]:
     return [complex(tag.eigen[k]).real for k in sorted(tag.eigen) if k.startswith("lambda")]
 
 
-def _rotation_branch_range(log_modulus: float, odd: bool, slack: float = 1e-9) -> list[int]:
+def _rotation_branch_range(
+    d: int, log_modulus: float, odd: bool, slack: float = 1e-9
+) -> list[int]:
     """Branch indices k whose rotation angle fits the generator spectrum.
 
-    Angles are 2k*pi (odd=False) or (2k+1)*pi (odd=True), admissible while
-    |angle| <= |log_modulus| (+ slack for boundary cases).
+    Angles are 2k*pi (odd=False) or (2k+1)*pi (odd=True).  Every eigenvalue
+    z of a d x d generator has |Im z| <= cot(pi/d) |Re z| (Runnenberg), so
+    an angle is admissible while |angle| <= cot(pi/d) |log_modulus|
+    (+ slack for boundary cases); cot(pi/3) = 1/sqrt(3), cot(pi/4) = 1.
     """
-    limit = abs(log_modulus) * (1.0 + 1e-12) + slack
+    cot = 1.0 / math.sqrt(3.0) if d == 3 else 1.0
+    limit = cot * abs(log_modulus) * (1.0 + 1e-12) + slack
     ks = []
     if odd:
         n = 0
@@ -759,7 +707,7 @@ def _search_pair_case(
     searched on demand; without one they decide embeddability.
     """
     log_mod = math.log(abs(pair_value))
-    ks = _rotation_branch_range(log_mod, odd)
+    ks = _rotation_branch_range(A.shape[0], log_mod, odd)
     gens = [principal] if principal is not None else []
 
     if principal is not None and not all_branches:
@@ -815,28 +763,25 @@ def _one_lambda(
     (-log lam / (1 - lam)) (A - I); further logarithms rotate a plane of a
     repeated lam, and each pattern keeps its own uniqueness rule."""
     p = tag.pattern
+    d = A.shape[0]
     (lam,) = _lams(tag)
-    d3_pair = p in (Pattern.D3_DEG2_1_L_L_POS, Pattern.D3_DEG2_1_L_L_NEG)
-    stop = _gate(tag, [lam], tol, culver=not d3_pair)
+    stop = _gate(tag, [lam], tol)
     if stop is not None:
         return stop
-    if lam < 0.0:
-        return embed_d3_eq_input_neg(A, tol, tag)
 
-    Q = (-math.log(lam) / (1.0 - lam)) * (A - np.eye(A.shape[0]))
+    Q = (-math.log(lam) / (1.0 - lam)) * (A - np.eye(d))
     cand = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
     if cand is None:
         return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
     # for d=3, extra rotational branches exist only for tiny lambda
     if p is Pattern.D4_DEG2_DOUBLE_POS or (
-        d3_pair and abs(math.log(lam)) / (2.0 * math.pi * math.sqrt(3.0)) >= 1.0
+        p is Pattern.D3_DEG2_1_L_L_POS and _rotation_branch_range(3, math.log(lam), odd=False)
     ):
-        fixed = [] if d3_pair else [1.0]
-        return _search_pair_case(A, tag, fixed, lam, False, cand, tol, all_branches)
+        return _search_pair_case(A, tag, [1.0] * (d - 3), lam, False, cand, tol, all_branches)
     # rotations inside the unit eigenspace of D3_DEG2_1_1_L and
     # D4_DEG2_TRIPLE_ONE would need purely imaginary generator eigenvalues,
     # which Gershgorin excludes
-    if p is not Pattern.D4_DEG2_TRIPLE_L or not _rotation_branch_range(math.log(lam), odd=False):
+    if p is not Pattern.D4_DEG2_TRIPLE_L or not _rotation_branch_range(4, math.log(lam), odd=False):
         return _embeddable([cand], Uniqueness.UNIQUE, tag)
     if all_branches:
         # partial: scans one pair plane of the triple eigenspace, so only a
@@ -851,9 +796,12 @@ def _one_lambda(
 def _repeated_pair(
     A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool
 ) -> EmbeddingResult:
-    """A repeated pair beside one fixed eigenvalue (1 when the tag names only
-    the pair): the principal logarithm when the pair is positive, and the
-    rotations of the pair on the hyperbola (odd ones for a negative pair)."""
+    """A repeated pair beside the eigenvalue 1 and, at d=4, one more fixed
+    eigenvalue (1 when the tag names only the pair): the principal
+    logarithm when the pair is positive, and the rotations of the pair on
+    the hyperbola (odd ones for a negative pair).  At d=3 this decides the
+    equal-input matrices with a negative double eigenvalue exactly."""
+    d = A.shape[0]
     *fixed, pair = _lams(tag)
     stop = _gate(tag, fixed, tol) or _gate(tag, [pair], tol, culver=False)
     if stop is not None:
@@ -865,9 +813,9 @@ def _repeated_pair(
         except DegenerateDenominatorError:
             return _undecided(Reason.ILL_CONDITIONED, tag)
         # a failed k = 0 candidate leaves the rotations at k != 0 to decide
-        principal = _candidate(A, poly_in(coeffs, A - np.eye(4)), 0, Construction.POLY_SMT, tol)
+        principal = _candidate(A, poly_in(coeffs, A - np.eye(d)), 0, Construction.POLY_SMT, tol)
     return _search_pair_case(
-        A, tag, fixed or [1.0], pair, pair < 0.0, principal, tol, all_branches
+        A, tag, fixed or [1.0] * (d - 3), pair, pair < 0.0, principal, tol, all_branches
     )
 
 
@@ -883,12 +831,12 @@ def _principal_only(
     except DegenerateDenominatorError:
         return _undecided(Reason.ILL_CONDITIONED, tag)
     Q = poly_in(coeffs, A - np.eye(A.shape[0]))
-    if not is_generator(Q, tol):
-        return _not_embeddable(Reason.LOG_NOT_GENERATOR, tag)
     cand = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
-    if cand is None:
-        return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
-    return _embeddable([cand], Uniqueness.UNIQUE, tag)
+    if cand is not None:
+        return _embeddable([cand], Uniqueness.UNIQUE, tag)
+    if not is_generator(_zero_row_sums(Q), tol):
+        return _not_embeddable(Reason.LOG_NOT_GENERATOR, tag)
+    return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
 
 
 def _branch_interval(R0: np.ndarray, D: np.ndarray, tol: Tolerances) -> range:
@@ -959,7 +907,7 @@ def _complex_branches(
 _DECIDERS = {
     Pattern.D3_DEG2_1_1_L: _one_lambda,
     Pattern.D3_DEG2_1_L_L_POS: _one_lambda,
-    Pattern.D3_DEG2_1_L_L_NEG: lambda A, tag, tol, _all: embed_d3_eq_input_neg(A, tol, tag),
+    Pattern.D3_DEG2_1_L_L_NEG: _repeated_pair,
     Pattern.D3_SIMPLE_REAL: _principal_only,
     Pattern.D3_JORDAN2: _principal_only,
     Pattern.D3_COMPLEX_PAIR: _complex_branches,
@@ -990,9 +938,11 @@ def embed_d3_deg2(
     tol: Tolerances = DEFAULT_TOL,
     all_branches: bool = False,
 ) -> EmbeddingResult:
-    """d=3 with minimal polynomial degree 2; a negative repeated eigenvalue
-    goes to the equal-input decider."""
-    return _one_lambda(*_tagged(M, tag, tol), tol, all_branches)
+    """d=3 with minimal polynomial degree 2: the one-eigenvalue logarithm,
+    and for a negative repeated eigenvalue (an equal-input matrix with
+    c > 1) the odd rotations of the pair on the hyperbola."""
+    A, tag = _tagged(M, tag, tol)
+    return _DECIDERS[tag.pattern](A, tag, tol, all_branches)
 
 
 def embed_d3_cyclic_real(

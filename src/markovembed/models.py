@@ -22,11 +22,10 @@ from .embed import (
     Uniqueness,
     _candidate,
     _embeddable,
-    _equal_input_params,
     _not_embeddable,
+    _rotation_branch_range,
     _undecided,
     decide,
-    embed_d3_eq_input_neg,
     uniqueness_certificates,
 )
 from .errors import InfeasibleParamsError, NonpositiveParameterError
@@ -105,10 +104,16 @@ def recognize_equal_input(
     """Parameters if M is a Markov equal-input matrix within the row-sum
     tolerance, clamped at 0; like the other recognizers it never raises."""
     A = as_matrix(M)
-    params = _equal_input_params(A, tol) if is_markov(A, tol) else None
-    if params is None:
+    if not is_markov(A, tol):
         return None
-    return EqualInputParams(tuple(max(float(cj), 0.0) for cj in params[0]))
+    d = A.shape[0]
+    off = ~np.eye(d, dtype=bool)
+    # c_j is the common off-diagonal entry of column j
+    c_vec = np.array([A[off[:, j], j].mean() for j in range(d)])
+    rebuilt = (1.0 - c_vec.sum()) * np.eye(d) + np.tile(c_vec, (d, 1))
+    if np.abs(rebuilt - A).max() > 10.0 * tol.rowsum:
+        return None
+    return EqualInputParams(tuple(max(float(cj), 0.0) for cj in c_vec))
 
 
 def embed_equal_input(
@@ -117,9 +122,11 @@ def embed_equal_input(
     """Closed-form equal-input decision.
 
     For c in [0, 1) the equal-input generator -log(1-c)/c * A embeds in
-    every dimension.  Even dimensions admit no other parameter range; for
-    d = 3 the range extends to summatory parameters beyond 1 up to the
-    extremal bound of the parameter ray.
+    every dimension.  Even dimensions admit no other parameter range: the
+    eigenvalue 1 - c has odd multiplicity d - 1, so c > 1 makes the
+    determinant negative.  For d = 3 and c > 1 the double eigenvalue
+    1 - c is negative, and ``decide`` searches the odd rotations of that
+    pair, which embed some matrices beyond c = 1 on every ray.
     """
     p.validate()
     d = p.dim if dim is None else dim
@@ -143,19 +150,12 @@ def embed_equal_input(
         elif u is Uniqueness.UNKNOWN:
             # further non-equal-input embeddings are possible but at most
             # finitely many; the rotation bound rules them out for large c
-            lam = 1.0 - c
-            slope = math.sqrt(3.0) if d == 3 else 1.0
-            u = (
-                Uniqueness.UNIQUE
-                if abs(math.log(lam)) < 2.0 * math.pi * slope
-                else Uniqueness.POSSIBLY_MORE
-            )
+            ks = _rotation_branch_range(d, math.log(1.0 - c), odd=False)
+            u = Uniqueness.POSSIBLY_MORE if ks else Uniqueness.UNIQUE
         return _embeddable([cand], u)
-    if abs(c - 1.0) <= 1e-12:
+    if abs(c - 1.0) <= 1e-12 or d != 3:
         return _not_embeddable(Reason.DET_NONPOSITIVE)
-    if d != 3:
-        return _not_embeddable(Reason.DET_NONPOSITIVE if d % 2 == 0 else Reason.EXCEEDS_EXTREMAL_BOUND)
-    return embed_d3_eq_input_neg(M, tol)
+    return decide(M, tol)
 
 
 def commutant_basis_d3(c1: float, c2: float, c3: float) -> list[np.ndarray]:

@@ -3,12 +3,14 @@
 These deliberately avoid the code paths they check: eigenvalues come from
 a hand-rolled shifted QR iteration on the companion matrix of an
 independently computed characteristic polynomial, logarithms from direct
-power-series summation, and scalar constants from mpmath.
+power-series summation, matrix exponentials from SciPy, and scalar
+constants from mpmath.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 
 def oracle_char_poly(A: np.ndarray) -> np.ndarray:
@@ -88,3 +90,12 @@ def match_spectra(a, b) -> float:
         worst = max(worst, abs(rem[j] - z))
         rem.pop(j)
     return worst
+
+
+def assert_embeds(Q: np.ndarray, M: np.ndarray) -> None:
+    """Q is a rate matrix with SciPy's exp(Q) = M: rates >= -1e-10, row sums
+    within 1e-10 and residual <= 1e-8."""
+    off = Q - np.diag(np.diag(Q))
+    assert off.min() >= -1e-10
+    assert np.abs(Q.sum(axis=1)).max() <= 1e-10
+    assert np.abs(scipy.linalg.expm(Q) - M).max() <= 1e-8

@@ -46,6 +46,7 @@ from markovembed.inhom import GVerdict
 from markovembed.models import InfeasibleParamsError
 
 from conftest import random_generator
+from oracles import assert_embeds
 
 PI_SQRT3 = math.pi * math.sqrt(3.0)
 
@@ -374,9 +375,13 @@ def test_criterion_10_negative_eigenvalue_exclusions():
     res = decide(constant_input(1.0 - lam))
     assert res.verdict is Verdict.NOT_EMBEDDABLE
 
+    # on a skewed ray the constant-ray bound is not the threshold: this
+    # block lies beyond 1 + e^(-delta_min) and still embeds
     skewed = np.array([0.55, 0.3, 0.2])
-    cmax = 1.0 + math.exp(-delta_min(*skewed))
     beyond = 1.0 + 1.5 * math.exp(-delta_min(*skewed))
     M = (1 - beyond) * np.eye(3) + np.tile(beyond * skewed / skewed.sum(), (3, 1))
-    assert decide(M).verdict is Verdict.NOT_EMBEDDABLE
+    res = decide(M)
+    assert res.verdict is Verdict.EMBEDDABLE
+    for g in res.generators:
+        assert_embeds(g.matrix, M)
     report(10, "odd-rotation windows empty below the moduli bounds")

@@ -23,7 +23,6 @@ from markovembed import (
     embed_d3_complex,
     embed_d3_cyclic_real,
     embed_d3_deg2,
-    embed_d3_eq_input_neg,
     eq_input_extremal_generators,
     hyperbola_search,
     is_generator,
@@ -37,7 +36,7 @@ from markovembed.embed import _branch_interval, _pair_decomposition, _sheet_sear
 from markovembed.kernel import DEFAULT_TOL, scale_of
 
 from conftest import random_generator, random_markov
-from oracles import qr_eigenvalues, match_spectra
+from oracles import assert_embeds, match_spectra, qr_eigenvalues
 
 PI_SQRT3 = math.pi * math.sqrt(3.0)
 
@@ -227,21 +226,18 @@ class TestEqualInputNegative:
                 assert np.abs(Q @ C - C @ Q).max() < 1e-10
 
     def test_interior_point_two_generators(self):
-        res = embed_d3_eq_input_neg(constant_input(1.002))
+        res = decide(constant_input(1.002))
         assert res.verdict is Verdict.EMBEDDABLE
         assert len(res.generators) == 2
         assert res.uniqueness is Uniqueness.MULTIPLE_KNOWN
         assert all(g.residual <= 1e-8 for g in res.generators)
-        kinds = {g.construction for g in res.generators}
-        assert kinds == {
-            Construction.EQ_INPUT_EXTREMAL_PLUS,
-            Construction.EQ_INPUT_EXTREMAL_MINUS,
-        }
+        assert {g.construction for g in res.generators} == {Construction.HYPERBOLA}
+        assert sorted(g.branch for g in res.generators) == [-1, 0]
 
     def test_beyond_bound_rejected(self):
-        res = embed_d3_eq_input_neg(constant_input(1.4))
+        res = decide(constant_input(1.4))
         assert res.verdict is Verdict.NOT_EMBEDDABLE
-        assert res.reason is Reason.EXCEEDS_EXTREMAL_BOUND
+        assert res.reason is Reason.K_RANGE_EMPTY
 
     def test_squared_extremal_has_three_embeddings(self):
         # the square of the extremal matrix is equal-input with c < 1 and
@@ -267,10 +263,81 @@ class TestEqualInputNegative:
             M = (1 - inside) * np.eye(3) + np.tile(inside * c / c.sum(), (3, 1))
             res = decide(M)
             assert res.verdict is Verdict.EMBEDDABLE
+            # beyond the constant-ray bound: the block embeds iff its lift
+            # 1 (+) M does, as a generator of either gives one of the other
             beyond = min(1.5, 1 + 1.7 * math.exp(-dmin))
             M = (1 - beyond) * np.eye(3) + np.tile(beyond * c / c.sum(), (3, 1))
+            L = np.eye(4)
+            L[1:, 1:] = M
+            res, lifted = decide(M), decide(L)
+            assert res.verdict is lifted.verdict
+            for g in res.generators:
+                assert_embeds(g.matrix, M)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestConverseContract:
+    """No NotEmbeddable where a generator exists: d=3 equal-input blocks
+    with c > 1 against their lifts 1 (+) E, and large-norm round trips."""
+
+    def test_block_verdict_equals_lift_verdict(self):
+        rng = np.random.default_rng(7)
+        seen = collections.Counter()
+        for _ in range(60):
+            ray = rng.uniform(0.1, 1.0, 3)
+            f = math.exp(rng.uniform(math.log(0.3), math.log(20.0)))
+            L = lifted_equal_input(ray, f)
+            res = decide(L[1:, 1:])
+            assert res.verdict is decide(L).verdict, (ray, f)
+            seen[res.verdict] += 1
+            for g in res.generators:
+                assert_embeds(g.matrix, L[1:, 1:])
+        assert seen[Verdict.EMBEDDABLE] >= 20 and seen[Verdict.NOT_EMBEDDABLE] >= 10
+
+    @pytest.mark.parametrize(
+        "ray, f",
+        [((0.55, 0.3, 0.2), 1.5), ((0.5, 0.3, 0.2), 2.0), ((0.372, 0.373, 0.255), 1.7905)],
+    )
+    def test_skewed_blocks_beyond_constant_ray_bound(self, ray, f):
+        E = lifted_equal_input(ray, f)[1:, 1:]
+        res = decide(E)
+        assert res.verdict is Verdict.EMBEDDABLE
+        assert res.uniqueness is Uniqueness.MULTIPLE_KNOWN
+        assert sorted(g.branch for g in res.generators) == [-1, 0]
+        for g in res.generators:
+            assert g.construction is Construction.HYPERBOLA
+            assert_embeds(g.matrix, E)
+
+    def test_constant_ray_threshold(self):
+        # the sector |Im z| <= |Re z| / sqrt(3) of 3x3 generators puts the
+        # threshold at c = 1 + e^(-pi sqrt 3), where the circulants embed
+        edge = math.exp(-PI_SQRT3)
+        inside = decide(constant_input(1 + edge * (1 - 1e-6)))
+        assert inside.verdict is Verdict.EMBEDDABLE
+        beyond = decide(constant_input(1 + edge * (1 + 1e-6)))
+        assert (beyond.verdict, beyond.reason) == (Verdict.NOT_EMBEDDABLE, Reason.K_RANGE_EMPTY)
+        M = constant_input(1 + edge)
+        res = decide(M)
+        assert [g.construction for g in res.generators] == [Construction.HYPERBOLA] * 2
+        for Q in eq_input_extremal_generators(1.0, 1.0, 1.0):
+            assert min(np.abs(g.matrix - Q).max() for g in res.generators) <= 1e-10
+        for g in res.generators:
+            assert_embeds(g.matrix, M)
+
+    def test_large_norm_round_trips(self):
+        # polynomial logarithms with coefficients of 1e5-1e6: their row
+        # sums are zero up to rounding of about 1e-9
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            Q = rng.uniform(0.0, 1.0, (4, 4))
+            np.fill_diagonal(Q, 0.0)
+            np.fill_diagonal(Q, -Q.sum(axis=1))
+            Q *= rng.uniform(10.0, 12.0) / np.abs(Q).sum(axis=1).max()
+            M = scipy.linalg.expm(Q)
             res = decide(M)
-            assert res.verdict is Verdict.NOT_EMBEDDABLE
+            assert res.verdict is Verdict.EMBEDDABLE, (res.reason, Q)
+            for g in res.generators:
+                assert_embeds(g.matrix, M)
 
 
 class TestD3Cyclic:
