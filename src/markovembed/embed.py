@@ -2,14 +2,14 @@
 
 ``decide``, ``embed_d4`` and the public d=3 deciders look up a matrix's
 case pattern in one decision table, ``_DECIDERS``, whose entry constructs
-every candidate generator the case theory allows: closed-form polynomial
-logarithms for the principal-branch cases, for complex-pair spectra the
-branches k of one interval (the branch-k logarithm R_0 + k D has rates
-affine in k), and an exact feasibility search over the real square roots
-of -I (a sheet of a hyperbola) for the cases with a repeated eigenvalue
-pair, d=3 equal-input matrices with a negative double eigenvalue
-included: it evaluates a finite set of candidate points that holds a
-feasible point whenever one exists.
+every candidate generator the case theory allows: the polynomial logarithm
+(one Hermite interpolant of log on the spectrum, ``smt_coeffs``) for the
+principal-branch cases, for complex-pair spectra its branches k of one
+interval (the branch-k logarithm R_0 + k D has rates affine in k), and an
+exact feasibility search over the real square roots of -I (a sheet of a
+hyperbola) for the cases with a repeated eigenvalue pair, d=3 equal-input
+matrices with a negative double eigenvalue included: it evaluates a finite
+set of candidate points that holds a feasible point whenever one exists.
 
 Every candidate that is reported has been re-verified: it passes
 ``is_generator`` and the residual certificate ||exp(Q) - M|| <= residual
@@ -22,6 +22,7 @@ masquerades as ``NotEmbeddable``.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import enum
 import math
@@ -166,135 +167,25 @@ def _candidate(
 
 
 # ---------------------------------------------------------------------------
-# closed-form logarithm coefficients (spectral mapping)
+# the polynomial logarithm: one Hermite interpolant of log on the spectrum
+# (Higham, Functions of Matrices, 2008, sec. 1.2)
 # ---------------------------------------------------------------------------
 
+# Named eigenvalues whose index (largest Jordan block size) exceeds 1.
+_INDEX = {
+    (Pattern.D3_JORDAN2, "lambda"): 2,
+    (Pattern.D4_DEG3_TWO_ONES_JORDAN, "lambda"): 2,
+    (Pattern.D4_DEG3_L_JORDAN_L, "lambda"): 2,
+    (Pattern.D4_MIXED_JORDAN2, "lambda2"): 2,
+    (Pattern.D4_JORDAN3, "lambda"): 3,
+}
 
-def _real_part(values, scale: float) -> list[float]:
-    worst = max(abs(v.imag) for v in values)
-    if worst > 1e-8 * max(1.0, scale):
-        raise IllConditionedError(f"coefficients not real: imaginary size {worst:g}")
-    return [float(v.real) for v in values]
-
-
-def _require_positive(*lams: float) -> None:
-    if min(lams) <= 0.0:
-        raise DegenerateDenominatorError(
-            "principal-branch formula needs positive eigenvalues"
-        )
-
-
-def _coeffs_two_distinct(mu: float, nu: float, tol: Tolerances) -> list[float]:
-    _require_positive(1.0 + mu, 1.0 + nu)
-    if abs(mu - nu) < tol.spec_cluster * max(1.0, abs(mu), abs(nu)):
-        raise DegenerateDenominatorError("mu and nu coincide")
-    if min(abs(mu), abs(nu)) < tol.spec_cluster:
-        raise DegenerateDenominatorError("eigenvalue shift vanishes")
-    den = mu * nu * (mu - nu)
-    alpha = (mu**2 * math.log1p(nu) - nu**2 * math.log1p(mu)) / den
-    beta = (-mu * math.log1p(nu) + nu * math.log1p(mu)) / den
-    return [alpha, beta]
-
-
-def _coeffs_jordan_pair(mu: float, tol: Tolerances) -> list[float]:
-    _require_positive(1.0 + mu)
-    if abs(mu) < tol.spec_cluster or abs(1.0 + mu) < tol.spec_cluster:
-        raise DegenerateDenominatorError("degenerate shift in confluent pair")
-    alpha = 2.0 * math.log1p(mu) / mu - 1.0 / (1.0 + mu)
-    beta = 1.0 / (mu * (1.0 + mu)) - math.log1p(mu) / mu**2
-    return [alpha, beta]
-
-
-def _coeffs_complex_pair(lam: complex, k: int, tol: Tolerances) -> list[float]:
-    mu = lam - 1.0
-    if abs(mu.imag) < tol.spec_cluster:
-        raise DegenerateDenominatorError("pair is not genuinely complex")
-    zk = np.log(lam) + 2j * math.pi * k
-    den = abs(mu) ** 2 * (mu.conjugate() - mu)
-    alpha = (mu.conjugate() ** 2 * zk - mu**2 * zk.conjugate()) / den
-    beta = (-mu.conjugate() * zk + mu * zk.conjugate()) / den
-    return _real_part([alpha, beta], abs(zk))
-
-
-def _coeffs_three_distinct(lams: list[float], tol: Tolerances) -> list[float]:
-    _require_positive(*lams)
-    mus = [lam - 1.0 for lam in lams]
-    ms = []
-    for i in range(3):
-        m = mus[i]
-        for j in range(3):
-            if j != i:
-                m *= mus[j] - mus[i]
-        if abs(m) < tol.spec_cluster**2:
-            raise DegenerateDenominatorError("near-coincident eigenvalues")
-        ms.append(m)
-    logs = [math.log(lam) for lam in lams]
-    alpha = sum(
-        (mus[(i + 1) % 3] * mus[(i + 2) % 3] / ms[i]) * logs[i] for i in range(3)
-    )
-    beta = -sum(((sum(mus) - mus[i]) / ms[i]) * logs[i] for i in range(3))
-    gamma = sum(logs[i] / ms[i] for i in range(3))
-    return [alpha, beta, gamma]
-
-
-def _coeffs_real_plus_pair(
-    lam: float, theta: complex, k: int, tol: Tolerances
-) -> list[float]:
-    _require_positive(lam)
-    mu = lam - 1.0
-    nu = theta - 1.0
-    if abs(nu.imag) < tol.spec_cluster:
-        raise DegenerateDenominatorError("pair is not genuinely complex")
-    zk = np.log(theta) + 2j * math.pi * k
-    m1 = mu * (mu - nu) * (mu - nu.conjugate())
-    m2 = nu * (nu - mu) * (nu - nu.conjugate())
-    m3 = nu.conjugate() * (nu.conjugate() - mu) * (nu.conjugate() - nu)
-    if min(abs(m1), abs(m2)) < tol.spec_cluster**3:
-        raise DegenerateDenominatorError("near-coincident eigenvalues")
-    lg = math.log(lam)
-    alpha = (abs(nu) ** 2 / m1) * lg + (mu * nu.conjugate() / m2) * zk + (
-        mu * nu / m3
-    ) * zk.conjugate()
-    beta = (
-        -((nu + nu.conjugate()) / m1) * lg
-        - ((mu + nu.conjugate()) / m2) * zk
-        - ((mu + nu) / m3) * zk.conjugate()
-    )
-    gamma = lg / m1 + zk / m2 + zk.conjugate() / m3
-    return _real_part([alpha, beta, gamma], abs(zk) + abs(lg))
-
-
-def _coeffs_jordan3(lam: float, tol: Tolerances) -> list[float]:
-    _require_positive(lam)
-    mu = lam - 1.0
-    if abs(mu) < tol.spec_cluster:
-        raise DegenerateDenominatorError("eigenvalue shift vanishes")
-    rhs = np.array([math.log(lam), 1.0 / lam, -1.0 / lam**2])
-    inv = np.array(
-        [
-            [3.0 / mu, -2.0, mu / 2.0],
-            [-3.0 / mu**2, 3.0 / mu, -1.0],
-            [1.0 / mu**3, -1.0 / mu**2, 1.0 / (2.0 * mu)],
-        ]
-    )
-    return list(inv @ rhs)
-
-
-def _coeffs_simple_plus_jordan(l1: float, l2: float, tol: Tolerances) -> list[float]:
-    _require_positive(l1, l2)
-    m1, m2 = l1 - 1.0, l2 - 1.0
-    if abs(m1 - m2) < tol.spec_cluster or min(abs(m1), abs(m2)) < tol.spec_cluster:
-        raise DegenerateDenominatorError("near-coincident eigenvalues")
-    dd = (m1 - m2) ** 2
-    inv = np.array(
-        [
-            [m2**2 / (m1 * dd), m1 * (2 * m1 - 3 * m2) / (m2 * dd), -m1 / (m1 - m2)],
-            [-2 * m2 / (m1 * dd), (3 * m2**2 - m1**2) / (m2**2 * dd), (m1 + m2) / (m2 * (m1 - m2))],
-            [1.0 / (m1 * dd), (m1 - 2 * m2) / (m2**2 * dd), -1.0 / (m2 * (m1 - m2))],
-        ]
-    )
-    rhs = np.array([math.log(l1), math.log(l2), 1.0 / l2])
-    return list(inv @ rhs)
+# The named eigenvalue that stands for a complex-conjugate pair.
+_PAIRED = {
+    Pattern.D3_COMPLEX_PAIR: "lambda",
+    Pattern.D4_DEG3_COMPLEX: "lambda",
+    Pattern.D4_SIMPLE_COMPLEX: "theta",
+}
 
 
 def smt_coeffs(
@@ -303,57 +194,54 @@ def smt_coeffs(
     k: int = 0,
     tol: Tolerances = DEFAULT_TOL,
 ) -> list[float]:
-    """Real coefficients c with poly_in(c, A) the branch-k real logarithm.
+    """Real coefficients c with poly_in(c, A - I) the branch-k real logarithm.
 
-    Dispatches on the case pattern to the matching closed-form solution of
-    the spectral-mapping equations.  Raises
-    :class:`DegenerateDenominatorError` when eigenvalue differences or the
-    denominators fall below the clustering threshold; callers reroute to
-    the confluent variant or report Undecided.
+    p(x) = sum_i c[i] x^(i+1) is the Hermite interpolant of log(1 + x) on the
+    roots mu = lambda - 1 of A's minimal polynomial: 0, and each eigenvalue the
+    tag names up to its index, a complex one with its conjugate on the branch
+    log lambda + 2 pi i k. Raises :class:`DegenerateDenominatorError` for a
+    real eigenvalue <= 0, a pair with |Im lambda| < tol.spec_cluster or two
+    nodes within tol.spec_cluster of each other.
     """
     eig = case.eigen if eigen_data is None else eigen_data
     p = case.pattern
+    # nodes lambda_i (each repeated up to its index) with log's Taylor coefficients;
+    # lambda_i - lambda_j is exact where (lambda_i - 1) - (lambda_j - 1) rounds
+    nodes, f = [1.0], [[0.0]]
+    for name in sorted(eig):
+        lam = complex(eig[name])
+        if name == _PAIRED.get(p):
+            if abs(lam.imag) < tol.spec_cluster:
+                raise DegenerateDenominatorError("pair is not genuinely complex")
+            z = cmath.log(lam) + 2j * math.pi * k
+            new, taylor = [lam, lam.conjugate()], [[z], [z.conjugate()]]
+        else:
+            lam = lam.real
+            if lam <= 0.0:
+                raise DegenerateDenominatorError(f"no real logarithm at lambda={lam:g}")
+            index = _INDEX.get((p, name), 1)
+            new = [lam] * index
+            taylor = [[math.log(lam), 1.0 / lam, -0.5 / lam**2][:index]] * index
+        if any(abs(new[0] - x) < tol.spec_cluster for x in nodes):
+            raise DegenerateDenominatorError("near-coincident eigenvalues")
+        nodes += new
+        f += taylor
 
-    def real(key: str) -> float:
-        return complex(eig[key]).real
-
-    single = {
-        Pattern.D2_SIMPLE,
-        Pattern.D3_DEG2_1_1_L,
-        Pattern.D3_DEG2_1_L_L_POS,
-        Pattern.D3_DEG2_1_L_L_NEG,
-        Pattern.D4_DEG2_TRIPLE_ONE,
-        Pattern.D4_DEG2_TRIPLE_L,
-        Pattern.D4_DEG2_DOUBLE_POS,
-    }
-    if p in single:
-        lam = real("lambda")
-        if lam <= 0.0 or lam >= 1.0:
-            raise DegenerateDenominatorError(f"no principal branch at lambda={lam:g}")
-        return [-math.log(lam) / (1.0 - lam)]
-    if p in (
-        Pattern.D3_SIMPLE_REAL,
-        Pattern.D4_DEG3_TWO_ONES_DISTINCT,
-        Pattern.D4_DEG3_DOUBLE_L2_POS,
-    ):
-        return _coeffs_two_distinct(real("lambda1") - 1.0, real("lambda2") - 1.0, tol)
-    if p in (
-        Pattern.D3_JORDAN2,
-        Pattern.D4_DEG3_TWO_ONES_JORDAN,
-        Pattern.D4_DEG3_L_JORDAN_L,
-    ):
-        return _coeffs_jordan_pair(real("lambda") - 1.0, tol)
-    if p in (Pattern.D3_COMPLEX_PAIR, Pattern.D4_DEG3_COMPLEX):
-        return _coeffs_complex_pair(complex(eig["lambda"]), k, tol)
-    if p is Pattern.D4_SIMPLE_REAL:
-        return _coeffs_three_distinct([real(f"lambda{i}") for i in (1, 2, 3)], tol)
-    if p is Pattern.D4_SIMPLE_COMPLEX:
-        return _coeffs_real_plus_pair(real("lambda"), complex(eig["theta"]), k, tol)
-    if p is Pattern.D4_JORDAN3:
-        return _coeffs_jordan3(real("lambda"), tol)
-    if p is Pattern.D4_MIXED_JORDAN2:
-        return _coeffs_simple_plus_jordan(real("lambda1"), real("lambda2"), tol)
-    raise DegenerateDenominatorError(f"no coefficient formula for {p}")
+    # confluent divided differences: dd[i] = log[lambda_0, ..., lambda_i]
+    n = len(nodes)
+    dd = [t[0] for t in f]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            if nodes[i] == nodes[i - j]:
+                dd[i] = f[i][j]
+            else:
+                dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - j])
+    # Newton form to monomials in x = lambda - 1; x_0 = 0, dd[0] = 0 leave p = x q
+    c = [dd[-1]]
+    for i in range(n - 2, 0, -1):
+        x = nodes[i] - 1.0
+        c = [dd[i] - x * c[0]] + [c[j - 1] - x * c[j] for j in range(1, len(c))] + [c[-1]]
+    return [v.real for v in c]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .classify import CaseTag, Pattern
 from .embed import (
     Construction,
     EmbeddingResult,
@@ -26,6 +27,7 @@ from .embed import (
     _rotation_branch_range,
     _undecided,
     decide,
+    smt_coeffs,
     uniqueness_certificates,
 )
 from .errors import InfeasibleParamsError, NonpositiveParameterError
@@ -263,9 +265,9 @@ def embed_tn(p: TNParams, tol: Tolerances = DEFAULT_TOL) -> EmbeddingResult:
         return decide(M, tol)
     if min(lams) <= tol.nonneg:
         return _not_embeddable(Reason.SPECTRUM_NOT_POSITIVE)
-    from .embed import _coeffs_three_distinct  # simple spectrum: cubic polynomial log
-
-    coeffs = _coeffs_three_distinct(sorted(lams, reverse=True), tol)
+    l1, l2, l3 = sorted(lams, reverse=True)
+    tag = CaseTag(4, 4, Pattern.D4_SIMPLE_REAL, {"lambda1": l1, "lambda2": l2, "lambda3": l3})
+    coeffs = smt_coeffs(tag, tol=tol)
     Q = poly_in(coeffs, M - np.eye(4))
     # positive spectrum alone does not force nonnegative rates here: for
     # rate ratios far from 1 the (unique) principal log can leave the

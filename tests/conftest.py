@@ -1,3 +1,12 @@
+import os
+
+# One BLAS/OpenMP thread, as perfbench/pinned.py sets: on a small shared host
+# spinning BLAS threads inflate the CPU time that the latency tests bound.
+# NumPy reads these when it loads, so they come before its import.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

@@ -2,11 +2,13 @@ import collections
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
 from markovembed import (
+    CaseTag,
     Construction,
     DegenerateDenominatorError,
     IllConditionedError,
@@ -26,6 +28,7 @@ from markovembed import (
     eq_input_extremal_generators,
     hyperbola_search,
     is_generator,
+    jordan_structure,
     mat_exp,
     poly_in,
     principal_log,
@@ -37,6 +40,7 @@ from markovembed.kernel import DEFAULT_TOL, scale_of
 
 from conftest import random_generator, random_markov
 from oracles import assert_embeds, match_spectra, qr_eigenvalues
+from test_dispatch import pattern_corpus
 
 PI_SQRT3 = math.pi * math.sqrt(3.0)
 
@@ -84,6 +88,44 @@ class TestD2:
         res = embed_d2(np.eye(2))
         assert res.verdict is Verdict.EMBEDDABLE
         assert np.abs(res.generators[0].matrix).max() == 0.0
+
+
+CONFLUENT_PATTERNS = {
+    Pattern.D3_JORDAN2,
+    Pattern.D4_DEG3_TWO_ONES_JORDAN,
+    Pattern.D4_DEG3_L_JORDAN_L,
+    Pattern.D4_JORDAN3,
+    Pattern.D4_MIXED_JORDAN2,
+}
+
+
+def mp_log_coeffs(M, k):
+    """Coefficients c with p(x) = sum_j c[j] x^(j+1) matching the branch-k
+    log(1 + x) and its derivatives up to the index of each eigenvalue of M
+    (read off its Jordan structure): the confluent Vandermonde system,
+    solved in 30-digit mpmath arithmetic."""
+    rows, rhs = [], []
+    for z, sizes in jordan_structure(M).blocks:
+        if z == 1.0:
+            continue
+        lam = mpmath.mpc(z.real, z.imag) if z.imag else mpmath.mpf(z.real)
+        mu = lam - 1
+        for r in range(max(sizes)):
+            rhs.append(
+                mpmath.log(lam) + 2j * mpmath.pi * k * mpmath.sign(z.imag)
+                if r == 0
+                else (-1) ** (r + 1) / (r * lam**r)
+            )
+            rows.append((mu, r))
+    n = len(rows)
+    A = mpmath.matrix(n, n)
+    for i, (mu, r) in enumerate(rows):
+        for j in range(n):
+            power = j + 1
+            if power >= r:  # d^r/dx^r x^power / r! at mu
+                A[i, j] = mpmath.binomial(power, r) * mu ** (power - r)
+    c = mpmath.lu_solve(A, mpmath.matrix(rhs))
+    return [float(mpmath.re(v)) for v in c]
 
 
 class TestCoeffFormulas:
@@ -143,6 +185,54 @@ class TestCoeffFormulas:
             R = poly_in(coeffs, M - np.eye(d))
             assert np.abs(R - principal_log(M)).max() < 1e-9
             done += 1
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_every_pattern_matches_logm_and_mpmath(self, seed):
+        # the one interpolant reproduces scipy's logm on every pattern with
+        # a real logarithm, the Jordan ones included, and a 30-digit
+        # confluent Vandermonde solve on the branches k = -1, 0, 1
+        covered = set()
+        with mpmath.workdps(30):
+            for M in pattern_corpus(seed):
+                tag = classify(M)
+                try:
+                    coeffs = {k: smt_coeffs(tag, k=k) for k in (-1, 0, 1)}
+                except DegenerateDenominatorError:
+                    continue
+                L = scipy.linalg.logm(M)
+                R = poly_in(coeffs[0], M - np.eye(len(M)))
+                assert np.abs(R - L).max() <= 1e-8 * np.abs(L).max()
+                for k, c in coeffs.items():
+                    want = mp_log_coeffs(M, k)
+                    assert np.abs(np.subtract(c, want)).max() <= 1e-10 * np.abs(want).max()
+                covered.add(tag.pattern)
+        assert CONFLUENT_PATTERNS <= covered
+        assert {Pattern.D3_COMPLEX_PAIR, Pattern.D4_DEG3_COMPLEX, Pattern.D4_SIMPLE_REAL} <= covered
+
+    @pytest.mark.parametrize(
+        "pattern, eigen",
+        [
+            (Pattern.D3_SIMPLE_REAL, {"lambda1": 0.5, "lambda2": -0.3}),
+            (Pattern.D4_JORDAN3, {"lambda": 0.0}),
+            (Pattern.D4_SIMPLE_COMPLEX, {"lambda": -0.2, "theta": 0.3 + 0.2j}),
+            (Pattern.D3_SIMPLE_REAL, {"lambda1": 0.5 + 5e-9, "lambda2": 0.5}),
+            (Pattern.D3_SIMPLE_REAL, {"lambda1": 1.0 - 5e-9, "lambda2": 0.6}),
+            (Pattern.D4_MIXED_JORDAN2, {"lambda1": 0.4, "lambda2": 0.4 - 5e-9}),
+            (Pattern.D3_COMPLEX_PAIR, {"lambda": 0.5 + 7e-9j}),
+            (Pattern.D4_SIMPLE_COMPLEX, {"lambda": 0.2, "theta": 0.5 + 7e-9j}),
+        ],
+        ids=[
+            "negative", "zero-jordan", "negative-beside-pair", "close-pair",
+            "close-to-one", "close-to-jordan", "near-real-pair", "near-real-pair-d4",
+        ],
+    )
+    def test_degenerate_nodes_raise(self, pattern, eigen):
+        # |Im lambda| = 7e-9 puts the pair 1.4e-8 apart, beyond the node
+        # distance check alone: the pair has its own
+        d = int(pattern.name[1])  # every case here is cyclic: degree d
+        tag = CaseTag(d, d, pattern, eigen)
+        with pytest.raises(DegenerateDenominatorError):
+            smt_coeffs(tag, k=1)
 
 
 class TestD3Deg2:
