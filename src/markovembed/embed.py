@@ -471,27 +471,15 @@ def hyperbola_search(
                     a rounding allowance scaled by the coefficient sizes and
                     the candidate's size, so S is empty;
     Inconclusive -- otherwise: the best candidate sits in that band.
+
+    A point's logarithm R is read off the rates the search evaluates: its
+    off-diagonal entries, row-major, are (rows * (1, angle, angle, angle))
+    @ (1, x, y, z) for the rows of ``_sheet_constraints``, and its diagonal
+    is minus their row sums.
     """
     fixed = np.atleast_2d(np.asarray(fixed_block, dtype=float))
     rows = _sheet_constraints(T, fixed, log_modulus)
     return _sheet_search(rows * (1.0, angle, angle, angle), tol)
-
-
-def rotation_log(
-    T: np.ndarray,
-    fixed_block: object,
-    log_modulus: float,
-    angle: float,
-    point: HyperbolaPoint,
-) -> np.ndarray:
-    """Assemble the real logarithm a hyperbola point parametrises."""
-    d = T.shape[0]
-    block = np.zeros((d, d))
-    block[: d - 2, : d - 2] = np.atleast_2d(np.asarray(fixed_block, float))
-    block[d - 2 :, d - 2 :] = log_modulus * np.eye(2) + angle * np.array(
-        [[point.x, -point.z], [point.y, -point.x]]
-    )
-    return T @ block @ np.linalg.inv(T)
 
 
 # ---------------------------------------------------------------------------
@@ -585,132 +573,89 @@ def _rotation_branch_range(
     return sorted(ks)
 
 
-def _search_pair_case(
-    A, tag, fixed_eigs, pair_value, odd, principal, tol, all_branches
-) -> EmbeddingResult:
-    """Shared driver for cases whose extra logs live on the hyperbola.
-
-    ``principal`` is a verified candidate or None.  With a principal
-    generator in hand the extra branches only affect uniqueness and are
-    searched on demand; without one they decide embeddability.
-    """
-    log_mod = math.log(abs(pair_value))
-    ks = _rotation_branch_range(A.shape[0], log_mod, odd)
-    gens = [principal] if principal is not None else []
-
-    if principal is not None and not all_branches:
-        if not ks:
-            return _embeddable(gens, Uniqueness.UNIQUE, tag)
-        u = uniqueness_certificates(A, principal.matrix, tol)
-        u = Uniqueness.POSSIBLY_MORE if u is Uniqueness.UNKNOWN else u
-        return _embeddable(gens, u, tag)
-
-    if not ks and principal is None:
-        return _not_embeddable(Reason.K_RANGE_EMPTY, tag)
-
-    T = _pair_decomposition(A, fixed_eigs, pair_value, tol)
-    # fixed log block: 0 for each unit eigenvalue, log(lam) otherwise
-    fixed_block = np.diag([0.0] + [0.0 if l == 1.0 else math.log(l) for l in fixed_eigs])
-
-    rows = _sheet_constraints(T, fixed_block, log_mod)
-    inconclusive = False
-    found_extra = False
-    for k in ks:
-        angle = (2 * k + 1) * math.pi if odd else 2 * k * math.pi
-        status, point = _sheet_search(rows * (1.0, angle, angle, angle), tol)
-        if status is SearchStatus.FOUND:
-            Q = rotation_log(T, fixed_block, log_mod, angle, point)
-            cand = _candidate(A, Q, k, Construction.HYPERBOLA, tol)
-            if cand is not None:
-                gens.append(cand)
-                found_extra = True
-            else:
-                inconclusive = True
-        elif status is SearchStatus.INCONCLUSIVE:
-            inconclusive = True
-
-    if gens:
-        if len(gens) > 1:
-            return _embeddable(gens, Uniqueness.MULTIPLE_KNOWN, tag)
-        u = uniqueness_certificates(A, gens[0].matrix, tol)
-        if u is Uniqueness.UNKNOWN:
-            certified_alone = (
-                principal is not None and not found_extra and not inconclusive
-            )
-            u = Uniqueness.UNIQUE if certified_alone else Uniqueness.POSSIBLY_MORE
-        return _embeddable(gens, u, tag)
-    if inconclusive:
-        return _undecided(Reason.SEARCH_INCONCLUSIVE, tag)
-    return _not_embeddable(Reason.NO_BRANCH_FEASIBLE, tag)
-
-
-def _one_lambda(
-    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool
-) -> EmbeddingResult:
-    """Minimal polynomial (x - 1)(x - lam): the principal logarithm is
-    (-log lam / (1 - lam)) (A - I); further logarithms rotate a plane of a
-    repeated lam, and each pattern keeps its own uniqueness rule."""
-    p = tag.pattern
-    d = A.shape[0]
-    (lam,) = _lams(tag)
-    stop = _gate(tag, [lam], tol)
-    if stop is not None:
-        return stop
-
-    Q = (-math.log(lam) / (1.0 - lam)) * (A - np.eye(d))
-    cand = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
-    if cand is None:
-        return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
-    # for d=3, extra rotational branches exist only for tiny lambda
-    if p is Pattern.D4_DEG2_DOUBLE_POS or (
-        p is Pattern.D3_DEG2_1_L_L_POS and _rotation_branch_range(3, math.log(lam), odd=False)
-    ):
-        return _search_pair_case(A, tag, [1.0] * (d - 3), lam, False, cand, tol, all_branches)
-    # rotations inside the unit eigenspace of D3_DEG2_1_1_L and
-    # D4_DEG2_TRIPLE_ONE would need purely imaginary generator eigenvalues,
-    # which Gershgorin excludes
-    if p is not Pattern.D4_DEG2_TRIPLE_L or not _rotation_branch_range(4, math.log(lam), odd=False):
-        return _embeddable([cand], Uniqueness.UNIQUE, tag)
-    if all_branches:
-        # partial: scans one pair plane of the triple eigenspace, so only a
-        # second generator is reported
-        res = _search_pair_case(A, tag, [lam], lam, False, cand, tol, True)
-        if len(res.generators) > 1:
-            return res
-    u = uniqueness_certificates(A, Q, tol)
-    return _embeddable([cand], Uniqueness.POSSIBLY_MORE if u is Uniqueness.UNKNOWN else u, tag)
-
-
 def _repeated_pair(
     A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool
 ) -> EmbeddingResult:
-    """A repeated pair beside the eigenvalue 1 and, at d=4, one more fixed
-    eigenvalue (1 when the tag names only the pair): the principal
-    logarithm when the pair is positive, and the rotations of the pair on
-    the hyperbola (odd ones for a negative pair).  At d=3 this decides the
-    equal-input matrices with a negative double eigenvalue exactly."""
+    """A repeated eigenvalue pair beside the eigenvalue 1 and, at d=4, one
+    more fixed eigenvalue: the tag's other one, the pair's own value for
+    D4_DEG2_TRIPLE_L, 1 otherwise.  A positive pair gives the polynomial
+    logarithm; the others rotate the pair's plane by the angles 2k pi
+    ((2k + 1) pi for a negative pair) that fit the generator spectrum, each
+    decided by the sheet search.  With a principal generator in hand the
+    rotations only affect uniqueness and are searched on demand; without
+    one they decide, but a principal failing only the residual certificate
+    leaves the verdict Undecided unless a rotation is verified.  At d=3
+    this decides the equal-input matrices with a repeated eigenvalue.
+    """
     d = A.shape[0]
     *fixed, pair = _lams(tag)
+    if tag.pattern is Pattern.D4_DEG2_TRIPLE_L:
+        fixed = [pair]
     stop = _gate(tag, fixed, tol) or _gate(tag, [pair], tol, culver=False)
     if stop is not None:
         return stop
-    principal = None
+    fixed = fixed or [1.0] * (d - 3)
+    gens, residual_only = [], False
     if pair > 0.0:
         try:
             coeffs = smt_coeffs(tag, tol=tol)
         except DegenerateDenominatorError:
             return _undecided(Reason.ILL_CONDITIONED, tag)
-        # a failed k = 0 candidate leaves the rotations at k != 0 to decide
-        principal = _candidate(A, poly_in(coeffs, A - np.eye(d)), 0, Construction.POLY_SMT, tol)
-    return _search_pair_case(
-        A, tag, fixed or [1.0] * (d - 3), pair, pair < 0.0, principal, tol, all_branches
-    )
+        Q = poly_in(coeffs, A - np.eye(d))
+        principal = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
+        if principal is not None:
+            gens.append(principal)
+        else:
+            residual_only = is_generator(_zero_row_sums(Q), tol)
+
+    log_mod = math.log(abs(pair))
+    ks = _rotation_branch_range(d, log_mod, odd=pair < 0.0)
+    unsettled = bool(ks)  # rotations neither verified nor ruled out
+    if ks and (all_branches or not gens):
+        T = _pair_decomposition(A, fixed, pair, tol)
+        # fixed log block: 0 for each unit eigenvalue, log(lam) otherwise
+        fixed_block = np.diag([0.0] + [0.0 if l == 1.0 else math.log(l) for l in fixed])
+        rows = _sheet_constraints(T, fixed_block, log_mod)
+        off = ~np.eye(d, dtype=bool)
+        # for D4_DEG2_TRIPLE_L this scans one plane of the triple eigenspace
+        unsettled = pair in fixed
+        for k in ks:
+            angle = (2 * k + 1) * math.pi if pair < 0.0 else 2 * k * math.pi
+            scaled = rows * (1.0, angle, angle, angle)
+            status, point = _sheet_search(scaled, tol)
+            if status is SearchStatus.FOUND:
+                R = np.zeros((d, d))
+                R[off] = scaled @ (1.0, point.x, point.y, point.z)
+                cand = _candidate(A, R, k, Construction.HYPERBOLA, tol)
+                if cand is not None:
+                    gens.append(cand)
+                    continue
+            unsettled |= status is not SearchStatus.INFEASIBLE
+
+    if len(gens) > 1:
+        return _embeddable(gens, Uniqueness.MULTIPLE_KNOWN, tag)
+    if gens:
+        u = uniqueness_certificates(A, gens[0].matrix, tol)
+        if u is Uniqueness.UNKNOWN:
+            alone = gens[0].construction is Construction.POLY_SMT and not unsettled
+            u = Uniqueness.UNIQUE if alone else Uniqueness.POSSIBLY_MORE
+        return _embeddable(gens, u, tag)
+    if residual_only:
+        return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
+    if not ks:
+        return _not_embeddable(Reason.K_RANGE_EMPTY, tag)
+    if unsettled:
+        return _undecided(Reason.SEARCH_INCONCLUSIVE, tag)
+    return _not_embeddable(Reason.NO_BRANCH_FEASIBLE, tag)
 
 
 def _principal_only(
     A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool = False
 ) -> EmbeddingResult:
-    """Cases where the principal polynomial logarithm is the sole candidate."""
+    """Cases where the principal polynomial logarithm is the sole candidate;
+    for D3_DEG2_1_1_L and D4_DEG2_TRIPLE_ONE rotations inside the unit
+    eigenspace would need purely imaginary generator eigenvalues, which
+    Gershgorin excludes."""
     stop = _gate(tag, _lams(tag), tol)
     if stop is not None:
         return stop
@@ -793,15 +738,15 @@ def _complex_branches(
 # ``decide``, ``embed_d4`` and the public d=3 deciders.  Each decider takes
 # (A, tag, tol, all_branches) with A validated and tag = classify(A).
 _DECIDERS = {
-    Pattern.D3_DEG2_1_1_L: _one_lambda,
-    Pattern.D3_DEG2_1_L_L_POS: _one_lambda,
+    Pattern.D3_DEG2_1_1_L: _principal_only,
+    Pattern.D3_DEG2_1_L_L_POS: _repeated_pair,
     Pattern.D3_DEG2_1_L_L_NEG: _repeated_pair,
     Pattern.D3_SIMPLE_REAL: _principal_only,
     Pattern.D3_JORDAN2: _principal_only,
     Pattern.D3_COMPLEX_PAIR: _complex_branches,
-    Pattern.D4_DEG2_TRIPLE_ONE: _one_lambda,
-    Pattern.D4_DEG2_TRIPLE_L: _one_lambda,
-    Pattern.D4_DEG2_DOUBLE_POS: _one_lambda,
+    Pattern.D4_DEG2_TRIPLE_ONE: _principal_only,
+    Pattern.D4_DEG2_TRIPLE_L: _repeated_pair,
+    Pattern.D4_DEG2_DOUBLE_POS: _repeated_pair,
     Pattern.D4_DEG2_DOUBLE_NEG: _repeated_pair,
     Pattern.D4_DEG3_TWO_ONES_DISTINCT: _principal_only,
     Pattern.D4_DEG3_TWO_ONES_JORDAN: _principal_only,
@@ -826,9 +771,10 @@ def embed_d3_deg2(
     tol: Tolerances = DEFAULT_TOL,
     all_branches: bool = False,
 ) -> EmbeddingResult:
-    """d=3 with minimal polynomial degree 2: the one-eigenvalue logarithm,
-    and for a negative repeated eigenvalue (an equal-input matrix with
-    c > 1) the odd rotations of the pair on the hyperbola."""
+    """d=3 with minimal polynomial degree 2: the polynomial logarithm on
+    {1, lam} for a simple lam, and for a repeated one (an equal-input
+    matrix) the repeated-pair decider: that logarithm beside the rotations
+    of the pair when lam > 0, the odd rotations alone when lam < 0."""
     A, tag = _tagged(M, tag, tol)
     return _DECIDERS[tag.pattern](A, tag, tol, all_branches)
 

@@ -135,6 +135,11 @@ def public_decider(M, pattern, all_branches):
 
 def test_table_keys_are_the_decided_patterns():
     assert set(embed_mod._DECIDERS) == DECIDED_PATTERNS
+    assert set(embed_mod._DECIDERS.values()) == {
+        embed_mod._principal_only,
+        embed_mod._repeated_pair,
+        embed_mod._complex_branches,
+    }
 
 
 def test_every_pattern_decided_alike_through_the_table():

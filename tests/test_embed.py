@@ -16,6 +16,7 @@ from markovembed import (
     Pattern,
     Reason,
     SearchStatus,
+    Tolerances,
     Uniqueness,
     Verdict,
     classify,
@@ -35,7 +36,12 @@ from markovembed import (
     smt_coeffs,
     uniqueness_certificates,
 )
-from markovembed.embed import _branch_interval, _pair_decomposition, _sheet_search, rotation_log
+from markovembed.embed import (
+    _branch_interval,
+    _pair_decomposition,
+    _sheet_constraints,
+    _sheet_search,
+)
 from markovembed.kernel import DEFAULT_TOL, scale_of
 
 from conftest import random_generator, random_markov
@@ -365,7 +371,6 @@ class TestEqualInputNegative:
                 assert_embeds(g.matrix, M)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestConverseContract:
     """No NotEmbeddable where a generator exists: d=3 equal-input blocks
     with c > 1 against their lifts 1 (+) E, and large-norm round trips."""
@@ -413,6 +418,21 @@ class TestConverseContract:
             assert min(np.abs(g.matrix - Q).max() for g in res.generators) <= 1e-10
         for g in res.generators:
             assert_embeds(g.matrix, M)
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_tighter_residual_never_rejects(self, seed):
+        # a residual tolerance that almost no candidate meets fails the
+        # certificates: that may leave a verdict Undecided, never NotEmbeddable
+        tight = Tolerances(residual=1e-300)
+        undecided = collections.Counter()
+        for M in pattern_corpus(seed):
+            for all_branches in (False, True):
+                loose = decide(M, all_branches=all_branches)
+                if loose.verdict is not Verdict.NOT_EMBEDDABLE:
+                    res = decide(M, tight, all_branches=all_branches)
+                    assert res.verdict is not Verdict.NOT_EMBEDDABLE, (loose.case, res.reason)
+                    undecided[loose.case.pattern, res.reason] += 1
+        assert undecided[Pattern.D4_DEG3_DOUBLE_L2_POS, Reason.RESIDUAL_CHECK_FAILED] > 0
 
     def test_large_norm_round_trips(self):
         # polynomial logarithms with coefficients of 1e5-1e6: their row
@@ -541,7 +561,6 @@ def scan_branches(M, tag, kmax=10):
     return found
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBranchInterval:
     """Complex-pair branches R_k = R_0 + k D, k in one interval."""
 
@@ -579,7 +598,6 @@ class TestBranchInterval:
             _branch_interval(R0, np.abs(D), DEFAULT_TOL)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestHyperbola:
     def test_planted_rotation_found(self):
         circ3 = (2 * math.pi / math.sqrt(3.0)) * np.array(
@@ -630,8 +648,15 @@ class TestHyperbola:
         fixed = np.zeros((2, 2))
         status, point = hyperbola_search(dec, fixed, math.log(abs(lam)), math.pi)
         assert status is SearchStatus.FOUND
-        R = rotation_log(dec, fixed, math.log(abs(lam)), math.pi, point)
+        # the point's rates are the off-diagonal entries of its logarithm
+        rows = _sheet_constraints(dec, fixed, math.log(abs(lam)))
+        R = np.zeros((4, 4))
+        R[~np.eye(4, dtype=bool)] = (rows * (1.0, math.pi, math.pi, math.pi)) @ (
+            1.0, point.x, point.y, point.z
+        )
+        np.fill_diagonal(R, -R.sum(axis=1))
         assert is_generator(R)
+        assert np.abs(scipy.linalg.expm(R) - M).max() <= 1e-8
         assert abs(point.y * point.z - point.x**2 - 1.0) < 1e-9
 
     @pytest.mark.parametrize(
@@ -725,7 +750,6 @@ def random_sheet_system(rng):
     return np.column_stack([slack - N @ anchor, N])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSheetCandidates:
     """The candidate theorem of hyperbola_search on random affine systems."""
 
@@ -798,6 +822,19 @@ class TestD4Dispatch:
         res = decide(M)
         assert res.verdict is Verdict.NOT_EMBEDDABLE
         assert res.reason is Reason.K_RANGE_EMPTY
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e-3, 1.8e-3])
+    def test_triple_eigenvalue_not_certified_unique(self, lam):
+        # lam < e^(-2 pi), so rotations by 2 pi fit the generator spectrum;
+        # the search scans one plane of the triple eigenspace, and finding
+        # no rotation there does not make the principal logarithm unique
+        for ray in ((0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1), (0.7, 0.1, 0.1, 0.1)):
+            M = lam * np.eye(4) + np.tile((1.0 - lam) * np.array(ray), (4, 1))
+            res = decide(M, all_branches=True)
+            assert res.case.pattern is Pattern.D4_DEG2_TRIPLE_L
+            assert res.verdict is Verdict.EMBEDDABLE
+            assert res.uniqueness is Uniqueness.POSSIBLY_MORE, ray
+            assert [g.branch for g in res.generators] == [0]
 
     def test_time_scaling_stays_embeddable(self, rng):
         for _ in range(50):
