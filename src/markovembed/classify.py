@@ -2,12 +2,13 @@
 
 Every Markov matrix maps to exactly one case pattern determined by its
 dimension, minimal-polynomial degree and Jordan structure.  The patterns
-drive the decision engine's dispatch.  ``analyse`` is the one analysis
-pass (a single ``jordan_structure``, which computes the spectrum once, and
-the case lookup on it); ``screen`` reads that pass's eigenvalues and block
-sizes for the cheap exclusions that rule out embeddability before any
-logarithm is attempted.  ``classify`` and ``necessary_checks`` are their
-validating public forms.
+drive the decision engine's dispatch.  The necessary conditions screen in
+two parts: ``entry_screen`` reads the entries alone (det, diagonal, sign
+pattern) before any spectral work; ``analyse`` is the one analysis pass (a
+single ``jordan_structure``, which computes the spectrum once, and the case
+lookup on it), and ``spectral_screen`` reads its eigenvalues and block
+sizes.  ``classify`` and ``necessary_checks`` are their validating public
+forms.
 """
 
 from __future__ import annotations
@@ -247,45 +248,29 @@ def classify(M: object, tol: Tolerances = DEFAULT_TOL) -> CaseTag:
     return analyse(A, tol).tag
 
 
-def screen(A: np.ndarray, blocks, tol: Tolerances = DEFAULT_TOL) -> NecessaryReport:
-    """``necessary_checks`` on a validated array and its eigenvalues.
-
-    ``blocks`` is :attr:`JordanStructure.blocks`; the block sizes are read
-    only when det(A) != 0 (a singular matrix fails Culver's condition).
-    """
-    d = A.shape[0]
-
-    diag_positive = bool(np.diag(A).min() > tol.nonneg)
-    det = float(np.linalg.det(A))
-    det_positive = det > 0.0
-
-    unit_circle_ok = all(z == 1.0 or abs(z) < 1.0 - tol.nonneg for z, _ in blocks)
-
-    culver_ok = abs(det) > 0.0
-    if culver_ok:
-        for z, sizes in blocks:
-            if z.imag == 0.0 and z.real < -tol.nonneg:
-                for s in set(sizes):
-                    if sizes.count(s) % 2 != 0:
-                        culver_ok = False
-
+def entry_screen(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[float, bool, bool]:
+    """det(A), a positive diagonal and a transitive sign pattern, from the
+    entries alone.  P = (A > tol.nonneg) is transitive (m_ik > 0 and
+    m_kj > 0 imply m_ij > 0) when the boolean product P P lies inside P."""
     positive = A > tol.nonneg
-    transitivity_ok = True
-    for i in range(d):
-        for k in range(d):
-            if not positive[i, k]:
-                continue
-            for j in range(d):
-                if positive[k, j] and not positive[i, j]:
-                    transitivity_ok = False
-
-    return NecessaryReport(
-        diag_positive=diag_positive,
-        det_positive=det_positive,
-        unit_circle_ok=unit_circle_ok,
-        culver_ok=culver_ok,
-        transitivity_ok=transitivity_ok,
+    return (
+        float(np.linalg.det(A)),
+        bool(positive.diagonal().all()),
+        not (positive @ positive > positive).any(),
     )
+
+
+def spectral_screen(blocks, det: float, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, bool]:
+    """The unit-circle and Culver conditions on :attr:`JordanStructure.blocks`;
+    block sizes are read only when det != 0 (a singular matrix fails Culver's)."""
+    unit_circle_ok = all(z == 1.0 or abs(z) < 1.0 - tol.nonneg for z, _ in blocks)
+    culver_ok = det != 0.0 and all(
+        sizes.count(s) % 2 == 0
+        for z, sizes in blocks
+        if z.imag == 0.0 and z.real < -tol.nonneg
+        for s in sizes
+    )
+    return unit_circle_ok, culver_ok
 
 
 def necessary_checks(M: object, tol: Tolerances = DEFAULT_TOL) -> NecessaryReport:
@@ -301,8 +286,10 @@ def necessary_checks(M: object, tol: Tolerances = DEFAULT_TOL) -> NecessaryRepor
     The Jordan analysis runs only for a nonsingular M.
     """
     A = as_matrix(M)
-    if float(np.linalg.det(A)) != 0.0:
+    det, diag_positive, transitive = entry_screen(A, tol)
+    if det != 0.0:
         blocks = jordan_structure(A, tol).blocks
     else:
         blocks = tuple((z, ()) for z, _m in eigenvalues(A, tol).roots)
-    return screen(A, blocks, tol)
+    unit_circle_ok, culver_ok = spectral_screen(blocks, det, tol)
+    return NecessaryReport(diag_positive, det > 0.0, unit_circle_ok, culver_ok, transitive)

@@ -20,7 +20,8 @@ import numpy as np
 from . import inhom, models
 from .classify import CaseTag, classify
 from .embed import EmbeddingResult, Verdict, decide
-from .errors import MarkovEmbedError, SpectrumOnCutError
+from .errors import (ClassificationError, IllConditionedError, MarkovEmbedError,
+                     SpectrumOnCutError)
 from .kernel import Tolerances, as_matrix, is_markov, mat_exp, principal_log
 
 EXIT_OK = 0
@@ -251,7 +252,13 @@ def cmd_embed(args) -> int:
     start = time.perf_counter()
     res = decide(M, tol, all_branches=args.all_branches)
     elapsed = time.perf_counter() - start if args.timing else None
-    _emit(_verdict_doc(M, label, res.case, res, elapsed), args)
+    tag = res.case
+    if tag is None:
+        try:  # entry-only rejections carry no tag; ill-conditioned analyses have none
+            tag = classify(M, tol)
+        except (IllConditionedError, ClassificationError):
+            pass
+    _emit(_verdict_doc(M, label, tag, res, elapsed), args)
     return _verdict_exit(res)
 
 

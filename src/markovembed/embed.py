@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .classify import CaseTag, Pattern, analyse, classify, screen
+from .classify import CaseTag, Pattern, analyse, classify, entry_screen, spectral_screen
 from .errors import (
     ClassificationError,
     DegenerateDenominatorError,
@@ -815,14 +815,16 @@ def decide(
 ) -> EmbeddingResult:
     """Full embeddability decision for a Markov matrix of dimension 2-4.
 
-    Validates the input, takes the zero generator within the residual
-    tolerance of the identity, and otherwise analyses the matrix once
-    (spectrum, Jordan structure, case tag), screens that analysis for the
-    necessary conditions (d >= 3; rejections carry the case tag) and runs
-    the case decider that the decision table holds for its pattern.
-    Numerical failures (ill-conditioned Jordan decisions, inconclusive
-    searches, boundary-ambiguous eigenvalues) surface as Undecided with a
-    reason, never as NotEmbeddable.
+    Validates the input and takes the zero generator within the residual
+    tolerance of the identity.  For d >= 3 it screens the entries first
+    (det > 0, a positive diagonal, a transitive sign pattern; these
+    rejections carry case=None, and classify(M) gives the tag), then
+    analyses the matrix once (spectrum, Jordan structure, case tag),
+    screens that analysis for the unit circle and Culver's condition and
+    runs the case decider that the decision table holds for its pattern;
+    d=2 takes embed_d2's exact rule.  Numerical failures (ill-conditioned
+    Jordan decisions, inconclusive searches, boundary-ambiguous
+    eigenvalues) surface as Undecided with a reason, never as NotEmbeddable.
     """
     A = as_matrix(M)
     if not is_markov(A, tol):
@@ -838,6 +840,15 @@ def decide(
         zero = GeneratorCandidate(np.zeros((d, d)), 0, Construction.PRINCIPAL_LOG, gap)
         return _embeddable([zero], Uniqueness.UNIQUE, tag)
 
+    if d >= 3:
+        det, diag_positive, transitive = entry_screen(A, tol)
+        if not det > 0.0:
+            return _not_embeddable(Reason.DET_NONPOSITIVE)
+        if not diag_positive:
+            return _not_embeddable(Reason.ZERO_DIAGONAL)
+        if not transitive:
+            return _not_embeddable(Reason.TRANSITIVITY_VIOLATION)
+
     try:
         analysis = analyse(A, tol)
     except (IllConditionedError, ClassificationError):
@@ -847,20 +858,14 @@ def decide(
     if tag.pattern in (Pattern.D2_IDENTITY, Pattern.D3_IDENTITY, Pattern.D4_IDENTITY):
         return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
 
-    if A.shape[0] == 2:
+    if d == 2:
         return dataclasses.replace(embed_d2(A, tol), case=tag)
 
-    report = screen(A, analysis.jordan.blocks, tol)
-    if not report.det_positive:
-        return _not_embeddable(Reason.DET_NONPOSITIVE, tag)
-    if not report.diag_positive:
-        return _not_embeddable(Reason.ZERO_DIAGONAL, tag)
-    if not report.unit_circle_ok:
+    unit_circle_ok, culver_ok = spectral_screen(analysis.jordan.blocks, det, tol)
+    if not unit_circle_ok:
         return _not_embeddable(Reason.UNIT_CIRCLE_EIGENVALUE, tag)
-    if not report.culver_ok:
+    if not culver_ok:
         return _not_embeddable(Reason.NEGATIVE_EIGENVALUE_CULVER, tag)
-    if not report.transitivity_ok:
-        return _not_embeddable(Reason.TRANSITIVITY_VIOLATION, tag)
 
     try:
         return _DECIDERS[tag.pattern](A, tag, tol, all_branches)

@@ -3,11 +3,15 @@
 These deliberately avoid the code paths they check: eigenvalues come from
 a hand-rolled shifted QR iteration on the companion matrix of an
 independently computed characteristic polynomial, logarithms from direct
-power-series summation, matrix exponentials from SciPy, and scalar
-constants from mpmath.
+power-series summation, matrix exponentials from SciPy, determinants from
+exact rational arithmetic, and scalar constants from mpmath.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -61,6 +65,29 @@ def qr_eigenvalues(A: np.ndarray, max_iter: int = 2000) -> np.ndarray:
         n -= 1
     eigs.append(H[0, 0])
     return np.array(eigs[::-1])
+
+
+def exact_det(A: np.ndarray) -> Fraction:
+    """Determinant of the float entries in exact rational arithmetic, by
+    the Leibniz sum over permutations."""
+    F = [[Fraction(float(x)) for x in row] for row in A]
+    n = len(F)
+    total = Fraction(0)
+    for p in itertools.permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(F[i][p[i]] for i in range(n))
+    return total
+
+
+def violates_transitivity(A: np.ndarray, nonneg: float) -> bool:
+    """Some m_ik > 0 and m_kj > 0 with m_ij not > 0, entries counting as
+    positive above ``nonneg``: the definition as a triple loop."""
+    pos = np.asarray(A) > nonneg
+    d = len(pos)
+    return any(
+        pos[i, k] and pos[k, j] and not pos[i, j]
+        for i in range(d) for k in range(d) for j in range(d)
+    )
 
 
 def series_log(M: np.ndarray, max_terms: int = 10000, tol: float = 1e-16) -> np.ndarray:

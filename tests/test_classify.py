@@ -8,6 +8,7 @@ from markovembed import (
     IllConditionedError,
     NecessaryReport,
     Pattern,
+    Reason,
     Verdict,
     classify,
     decide,
@@ -18,6 +19,7 @@ from markovembed import (
 )
 
 from conftest import random_generator, random_markov
+from oracles import exact_det, violates_transitivity
 
 # the package re-exports the function ``classify`` under the module's name
 classify_mod = importlib.import_module("markovembed.classify")
@@ -204,7 +206,6 @@ def reference_report(M, tol=DEFAULT_TOL):
     """The necessary-condition report built directly from the spectrum and,
     for a nonsingular M, the Jordan structure."""
     A = np.asarray(M, dtype=float)
-    d = A.shape[0]
     det = float(np.linalg.det(A))
     spec = eigenvalues(A, tol)
     unit_circle_ok = all(z == 1.0 or abs(z) < 1.0 - tol.nonneg for z, _ in spec.roots)
@@ -213,23 +214,22 @@ def reference_report(M, tol=DEFAULT_TOL):
         for z, sizes in jordan_structure(A, tol).blocks:
             if z.imag == 0.0 and z.real < -tol.nonneg:
                 culver_ok &= all(sizes.count(s) % 2 == 0 for s in sizes)
-    pos = A > tol.nonneg
-    transitivity_ok = all(
-        pos[i, j] or not (pos[i, k] and pos[k, j])
-        for i in range(d) for k in range(d) for j in range(d)
-    )
     return NecessaryReport(
         diag_positive=bool(np.diag(A).min() > tol.nonneg),
         det_positive=det > 0.0,
         unit_circle_ok=unit_circle_ok,
         culver_ok=culver_ok,
-        transitivity_ok=transitivity_ok,
+        transitivity_ok=not violates_transitivity(A, tol.nonneg),
     )
+
+
+# rejections that decide() makes on the entries alone, before any spectral work
+ENTRY_ONLY = {Reason.DET_NONPOSITIVE, Reason.ZERO_DIAGONAL, Reason.TRANSITIVITY_VIOLATION}
 
 
 class TestSingleAnalysisPass:
     def test_one_spectrum_and_one_jordan_structure_per_decide(self, monkeypatch):
-        calls = {"eigenvalues": 0, "jordan_structure": 0}
+        calls = {"eigenvalues": 0, "jordan_structure": 0, "det": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -241,24 +241,29 @@ class TestSingleAnalysisPass:
             for mod in (kernel_mod, classify_mod, embed_mod):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, fn))
+        monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
 
         reasons = set()
         for M in analysis_corpus():
-            calls.update(eigenvalues=0, jordan_structure=0)
+            calls.update(eigenvalues=0, jordan_structure=0, det=0)
             res = decide(M)
-            reasons.add(res.reason.value if res.reason else None)
-            assert calls == {"eigenvalues": 1, "jordan_structure": 1}, (M, res.reason)
-        assert "DET_NONPOSITIVE" in reasons and None in reasons
+            reasons.add(res.reason)
+            # entry-only rejections make no spectral call, the rest exactly one
+            n = 0 if res.reason in ENTRY_ONLY else 1
+            assert calls == {"eigenvalues": n, "jordan_structure": n, "det": 1}, (M, res.reason)
+        assert Reason.DET_NONPOSITIVE in reasons and None in reasons
 
     def test_case_and_report_match_the_public_forms(self):
+        # case is None exactly for the entry-only rejections and for a
+        # failed analysis (ILL_CONDITIONED); otherwise it is classify's tag
         for M in analysis_corpus():
             res = decide(M)
             try:
                 tag = classify(M)
             except IllConditionedError:
-                assert res.verdict is Verdict.UNDECIDED and res.case is None
-            else:
-                assert res.case == tag
+                tag = None
+                assert res.reason in ENTRY_ONLY | {Reason.ILL_CONDITIONED}
+            assert res.case == (None if res.reason in ENTRY_ONLY else tag)
             assert necessary_checks(M) == reference_report(M)
 
     def test_singular_matrix_skips_jordan_analysis(self, monkeypatch):
@@ -268,3 +273,26 @@ class TestSingleAnalysisPass:
         monkeypatch.setattr(classify_mod, "jordan_structure", refuse)
         rep = necessary_checks(np.full((4, 4), 0.25))
         assert not rep.det_positive and not rep.culver_ok
+
+
+class TestEntryScreens:
+    def test_rejections_confirmed_exactly(self):
+        # every DET_NONPOSITIVE has an exact determinant <= 0 (the float
+        # entries in rational arithmetic) and every TRANSITIVITY_VIOLATION a
+        # violating triple (i, k, j); sparse matrices reach the latter
+        rng = np.random.default_rng(15)
+        corpus = analysis_corpus() + [random_markov(rng, d) for _ in range(300) for d in (3, 4)]
+        for _ in range(200):
+            d = int(rng.integers(3, 5))
+            M = random_markov(rng, d) * (rng.uniform(size=(d, d)) < 0.6)
+            np.fill_diagonal(M, rng.uniform(0.5, 1.0, d))
+            corpus.append(M / M.sum(axis=1, keepdims=True))
+        seen = set()
+        for M in corpus:
+            res = decide(M)
+            seen.add(res.reason)
+            if res.reason is Reason.DET_NONPOSITIVE:
+                assert exact_det(M) <= 0, M
+            if res.reason is Reason.TRANSITIVITY_VIOLATION:
+                assert violates_transitivity(M, DEFAULT_TOL.nonneg), M
+        assert {Reason.DET_NONPOSITIVE, Reason.TRANSITIVITY_VIOLATION} <= seen

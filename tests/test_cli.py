@@ -7,6 +7,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
+from markovembed import Reason, classify, decide
 from markovembed.cli import main
 
 SCHEMA = json.loads(
@@ -43,6 +44,21 @@ class TestEmbed:
         doc = json.loads(out)
         jsonschema.validate(doc, SCHEMA)
         assert doc["reason"] == "DET_NONPOSITIVE"
+
+    def test_entry_rejection_prints_the_classify_tag(self):
+        # decide rejects det <= 0 on the entries alone, with case=None; the
+        # document still carries the tag that classify gives
+        rows = [[0.1, 0.6, 0.3], [0.7, 0.1, 0.2], [0.2, 0.3, 0.5]]
+        res = decide(np.array(rows))
+        assert (res.reason, res.case) == (Reason.DET_NONPOSITIVE, None)
+        code, out, _ = run_cli(["embed", "-"], matrix_doc(rows))
+        assert code == 1
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["reason"] == "DET_NONPOSITIVE"
+        _, tag_out, _ = run_cli(["classify", "-"], matrix_doc(rows))
+        assert doc["case_tag"] == json.loads(tag_out)["case_tag"]
+        assert doc["case_tag"]["pattern"] == classify(np.array(rows)).pattern.value
 
     def test_plain_rows_input(self):
         code, out, _ = run_cli(["embed", "-"], "0.7 0.3\n0.2 0.8\n")

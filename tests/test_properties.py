@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovembed import (
+    DEFAULT_TOL,
     Verdict,
     decide,
     delta_min,
@@ -16,9 +17,25 @@ from markovembed import (
     is_markov,
     mat_exp,
 )
+from markovembed.classify import entry_screen
+
+from oracles import violates_transitivity
 
 finite = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 positive = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
+
+
+# entries on both sides of the sign threshold: zeros, +-tol.nonneg (not
+# positive) and positives down to just above it
+sign_entries = st.sampled_from(
+    [0.0, DEFAULT_TOL.nonneg, -DEFAULT_TOL.nonneg]
+) | st.floats(min_value=2 * DEFAULT_TOL.nonneg, max_value=1.0)
+
+
+@st.composite
+def sign_patterns(draw):
+    d = draw(st.integers(min_value=2, max_value=4))
+    return np.array([[draw(sign_entries) for _ in range(d)] for _ in range(d)])
 
 
 @st.composite
@@ -70,3 +87,11 @@ def test_exp_of_poisson_generator(alpha, t):
     M = mat_exp(t * Q)
     assert is_markov(M)
     assert abs(M[1, 1] - math.exp(-alpha * t)) < 1e-12
+
+
+@given(sign_patterns())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_vectorised_transitivity_matches_the_definition(A):
+    _det, diag_positive, transitive = entry_screen(A)
+    assert transitive is (not violates_transitivity(A, DEFAULT_TOL.nonneg))
+    assert diag_positive is all(A[i, i] > DEFAULT_TOL.nonneg for i in range(len(A)))
