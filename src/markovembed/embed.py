@@ -1,15 +1,15 @@
 """Embeddability decisions for Markov matrices of dimension 2-4.
 
-``decide``, ``embed_d4`` and the public d=3 deciders look up a matrix's
-case pattern in one decision table, ``_DECIDERS``, whose entry constructs
-every candidate generator the case theory allows: the polynomial logarithm
-(one Hermite interpolant of log on the spectrum, ``smt_coeffs``) for the
-principal-branch cases, for complex-pair spectra its branches k of one
-interval (the branch-k logarithm R_0 + k D has rates affine in k), and an
-exact feasibility search over the real square roots of -I (a sheet of a
-hyperbola) for the cases with a repeated eigenvalue pair, d=3 equal-input
-matrices with a negative double eigenvalue included: it evaluates a finite
-set of candidate points that holds a feasible point whenever one exists.
+``decide`` looks up a matrix's case pattern in one decision table,
+``_DECIDERS``, whose entry constructs every candidate generator the case
+theory allows: the polynomial logarithm (one Hermite interpolant of log on
+the spectrum, ``smt_coeffs``) for the principal-branch cases, for
+complex-pair spectra its branches k of one interval (the branch-k
+logarithm R_0 + k D has rates affine in k), and an exact feasibility
+search over the real square roots of -I (``hyperbola_search``) for the
+cases with a repeated eigenvalue pair, d=3 equal-input matrices with a
+negative double eigenvalue included: it evaluates a finite set of
+candidate points that holds a feasible point whenever one exists.
 
 Every candidate that is reported has been re-verified: it passes
 ``is_generator`` and the residual certificate ||exp(Q) - M|| <= residual
@@ -29,13 +29,12 @@ import math
 
 import numpy as np
 
-from .classify import CaseTag, Pattern, analyse, classify, entry_screen, spectral_screen
+from .classify import CaseTag, Pattern, analyse, entry_screen, spectral_screen
 from .errors import (
     ClassificationError,
     DegenerateDenominatorError,
     DimensionError,
     IllConditionedError,
-    MarkovEmbedError,
     NonpositiveParameterError,
 )
 from .kernel import (
@@ -155,14 +154,15 @@ def _candidate(
     branch: int,
     construction: Construction,
     tol: Tolerances,
-) -> GeneratorCandidate | None:
-    """Re-verify a proposed generator; None when it fails either check."""
+) -> GeneratorCandidate | Reason:
+    """Re-verify a proposed generator; on failure, the check it failed:
+    LOG_NOT_GENERATOR or RESIDUAL_CHECK_FAILED."""
     Q = _zero_row_sums(Q)
     if not is_generator(Q, tol):
-        return None
+        return Reason.LOG_NOT_GENERATOR
     residual = float(np.abs(mat_exp(Q) - M).max())
     if residual > tol.residual * scale_of(M):
-        return None
+        return Reason.RESIDUAL_CHECK_FAILED
     return GeneratorCandidate(Q, branch, construction, residual)
 
 
@@ -395,11 +395,43 @@ def _sheet_roots(n1, h1, n2, h2) -> np.ndarray:
     return P[np.isfinite(P).all(axis=1)]
 
 
-def _sheet_search(
-    rows: np.ndarray, tol: Tolerances
+def hyperbola_search(
+    rows: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[SearchStatus, HyperbolaPoint | None]:
-    """Is f + a x + b y + c z >= 0, for every row (f, a, b, c), at a point
-    of the sheet?  Candidates and statuses are those of hyperbola_search."""
+    """Is g_i = f + a x + b y + c z >= 0, for every row (f, a, b, c), at a
+    point p = (x, y, z) of the sheet H = {yz - x^2 = 1, z > 0}?
+
+    For a repeated eigenvalue pair the rows are those of
+    ``_sheet_constraints`` scaled by (1, angle, angle, angle): one per
+    off-diagonal entry of the pair-rotated logarithm R, which is a generator
+    iff p lies in the polyhedron P = {g_i >= 0} and on H.  The logarithm of
+    a point is read off those rows: its off-diagonal entries, row-major, are
+    rows @ (1, x, y, z), and its diagonal is minus their row sums.
+
+    Theorem: if S = P n H is nonempty, y + z attains its minimum over S
+    (y + z >= 2 sqrt(1 + x^2) on H, so it is coercive there and S is
+    closed), and a minimiser lies among
+      * the point (0, 1, 1), the minimiser of y + z over all of H;
+      * the KKT points of y + z on each conic C_i = {g_i = 0} n H: the two
+        roots of one quadratic, on the line where the plane g_i = 0 meets
+        the plane det[(0, 1, 1); grad g_i; grad(yz - x^2)] = 0 (which also
+        holds where the plane is tangent to H); when grad g_i is parallel
+        to (0, 1, 1), y + z is constant on C_i, and any point of it serves
+        unless another constraint is active, which the next item covers;
+      * the two roots of each line {g_i = g_j = 0} n H, at most
+        2 C(12, 2) = 132 for d = 4.
+    A minimiser with no active constraint is the critical point (0, 1, 1);
+    with one, it is critical for y + z on C_i; with two or more distinct
+    planes, it lies on their line (coinciding planes count as one).
+
+    Every constraint is evaluated at every candidate at once, and
+    Found        -- the candidate with the most slack violates by at most
+                    tol.nonneg; it is returned;
+    Infeasible   -- every candidate violates by more than 10 tol.nonneg plus
+                    a rounding allowance scaled by the coefficient sizes and
+                    the candidate's size, so S is empty;
+    Inconclusive -- otherwise: the best candidate sits in that band.
+    """
     f, N = rows[:, 0], rows[:, 1:]
     m = len(f)
     # the KKT points of y + z on {g_i = 0} and the sheet satisfy
@@ -433,55 +465,6 @@ def _sheet_search(
     return SearchStatus.INCONCLUSIVE, None
 
 
-def hyperbola_search(
-    T: np.ndarray,
-    fixed_block: object,
-    log_modulus: float,
-    angle: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[SearchStatus, HyperbolaPoint | None]:
-    """Feasibility of R(x,y,z) = T (fixed + (log_modulus I + angle I_xyz)) T^-1.
-
-    The last two columns of ``T`` must span the repeated-eigenvalue
-    pair eigenspace; ``fixed_block`` is the leading log-domain block.  Each
-    off-diagonal entry g_i of R is affine in p = (x, y, z), and R is a
-    generator iff p lies in the polyhedron P = {g_i >= 0} and on the sheet
-    H = {yz - x^2 = 1, z > 0}.
-
-    Theorem: if S = P n H is nonempty, y + z attains its minimum over S
-    (y + z >= 2 sqrt(1 + x^2) on H, so it is coercive there and S is
-    closed), and a minimiser lies among
-      * the point (0, 1, 1), the minimiser of y + z over all of H;
-      * the KKT points of y + z on each conic C_i = {g_i = 0} n H: the two
-        roots of one quadratic, on the line where the plane g_i = 0 meets
-        the plane det[(0, 1, 1); grad g_i; grad(yz - x^2)] = 0 (which also
-        holds where the plane is tangent to H); when grad g_i is parallel
-        to (0, 1, 1), y + z is constant on C_i, and any point of it serves
-        unless another constraint is active, which the next item covers;
-      * the two roots of each line {g_i = g_j = 0} n H, at most
-        2 C(12, 2) = 132 for d = 4.
-    A minimiser with no active constraint is the critical point (0, 1, 1);
-    with one, it is critical for y + z on C_i; with two or more distinct
-    planes, it lies on their line (coinciding planes count as one).
-
-    Every constraint is evaluated at every candidate at once, and
-    Found        -- the candidate with the most slack violates by at most
-                    tol.nonneg; it is returned;
-    Infeasible   -- every candidate violates by more than 10 tol.nonneg plus
-                    a rounding allowance scaled by the coefficient sizes and
-                    the candidate's size, so S is empty;
-    Inconclusive -- otherwise: the best candidate sits in that band.
-
-    A point's logarithm R is read off the rates the search evaluates: its
-    off-diagonal entries, row-major, are (rows * (1, angle, angle, angle))
-    @ (1, x, y, z) for the rows of ``_sheet_constraints``, and its diagonal
-    is minus their row sums.
-    """
-    fixed = np.atleast_2d(np.asarray(fixed_block, dtype=float))
-    rows = _sheet_constraints(T, fixed, log_modulus)
-    return _sheet_search(rows * (1.0, angle, angle, angle), tol)
-
-
 # ---------------------------------------------------------------------------
 # case deciders
 # ---------------------------------------------------------------------------
@@ -505,19 +488,17 @@ def embed_d2(M: object, tol: Tolerances = DEFAULT_TOL) -> EmbeddingResult:
         return _embeddable([zero], Uniqueness.UNIQUE)
     Q = (-math.log1p(-s) / s) * (A - np.eye(2))
     cand = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
-    if cand is None:
+    if isinstance(cand, Reason):
         return _undecided(Reason.RESIDUAL_CHECK_FAILED)
     return _embeddable([cand], Uniqueness.UNIQUE)
 
 
-def uniqueness_certificates(
-    M: object, Q: object, tol: Tolerances = DEFAULT_TOL
-) -> Uniqueness:
-    """Global uniqueness certificates for a verified generator.
+def uniqueness_certificates(M: object, tol: Tolerances = DEFAULT_TOL) -> Uniqueness:
+    """Global uniqueness certificates for an embeddable M.
 
     Unique when min m_ii > 1/2 (the principal log is then the sole
     candidate), or when det(M) min m_ii > e^-pi prod m_ii; Unknown
-    otherwise.  Both certificates read M alone; ``Q`` is not read.
+    otherwise.
     """
     A = as_matrix(M)
     diag = np.diag(A)
@@ -603,10 +584,10 @@ def _repeated_pair(
             return _undecided(Reason.ILL_CONDITIONED, tag)
         Q = poly_in(coeffs, A - np.eye(d))
         principal = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
-        if principal is not None:
-            gens.append(principal)
+        if isinstance(principal, Reason):
+            residual_only = principal is Reason.RESIDUAL_CHECK_FAILED
         else:
-            residual_only = is_generator(_zero_row_sums(Q), tol)
+            gens.append(principal)
 
     log_mod = math.log(abs(pair))
     ks = _rotation_branch_range(d, log_mod, odd=pair < 0.0)
@@ -622,12 +603,12 @@ def _repeated_pair(
         for k in ks:
             angle = (2 * k + 1) * math.pi if pair < 0.0 else 2 * k * math.pi
             scaled = rows * (1.0, angle, angle, angle)
-            status, point = _sheet_search(scaled, tol)
+            status, point = hyperbola_search(scaled, tol)
             if status is SearchStatus.FOUND:
                 R = np.zeros((d, d))
                 R[off] = scaled @ (1.0, point.x, point.y, point.z)
                 cand = _candidate(A, R, k, Construction.HYPERBOLA, tol)
-                if cand is not None:
+                if isinstance(cand, GeneratorCandidate):
                     gens.append(cand)
                     continue
             unsettled |= status is not SearchStatus.INFEASIBLE
@@ -635,7 +616,7 @@ def _repeated_pair(
     if len(gens) > 1:
         return _embeddable(gens, Uniqueness.MULTIPLE_KNOWN, tag)
     if gens:
-        u = uniqueness_certificates(A, gens[0].matrix, tol)
+        u = uniqueness_certificates(A, tol)
         if u is Uniqueness.UNKNOWN:
             alone = gens[0].construction is Construction.POLY_SMT and not unsettled
             u = Uniqueness.UNIQUE if alone else Uniqueness.POSSIBLY_MORE
@@ -650,7 +631,7 @@ def _repeated_pair(
 
 
 def _principal_only(
-    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool = False
+    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool
 ) -> EmbeddingResult:
     """Cases where the principal polynomial logarithm is the sole candidate;
     for D3_DEG2_1_1_L and D4_DEG2_TRIPLE_ONE rotations inside the unit
@@ -665,11 +646,11 @@ def _principal_only(
         return _undecided(Reason.ILL_CONDITIONED, tag)
     Q = poly_in(coeffs, A - np.eye(A.shape[0]))
     cand = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
-    if cand is not None:
-        return _embeddable([cand], Uniqueness.UNIQUE, tag)
-    if not is_generator(_zero_row_sums(Q), tol):
-        return _not_embeddable(Reason.LOG_NOT_GENERATOR, tag)
-    return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
+    if cand is Reason.LOG_NOT_GENERATOR:
+        return _not_embeddable(cand, tag)
+    if cand is Reason.RESIDUAL_CHECK_FAILED:
+        return _undecided(cand, tag)
+    return _embeddable([cand], Uniqueness.UNIQUE, tag)
 
 
 def _branch_interval(R0: np.ndarray, D: np.ndarray, tol: Tolerances) -> range:
@@ -695,7 +676,7 @@ def _branch_interval(R0: np.ndarray, D: np.ndarray, tol: Tolerances) -> range:
 
 
 def _complex_branches(
-    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool = False
+    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool
 ) -> EmbeddingResult:
     """A complex-conjugate pair (theta beside a real lambda for
     D4_SIMPLE_COMPLEX).  The spectral-mapping coefficients are affine in
@@ -722,7 +703,7 @@ def _complex_branches(
     uncertain = False
     for k in _branch_interval(R0, D, tol):
         cand = _candidate(A, R0 + k * D, k, Construction.POLY_SMT, tol)
-        if cand is not None:
+        if isinstance(cand, GeneratorCandidate):
             gens.append(cand)
         else:
             uncertain = True
@@ -734,9 +715,9 @@ def _complex_branches(
     return _embeddable(gens, u, tag)
 
 
-# The decision table: one row per non-identity d=3/d=4 pattern, shared by
-# ``decide``, ``embed_d4`` and the public d=3 deciders.  Each decider takes
-# (A, tag, tol, all_branches) with A validated and tag = classify(A).
+# The decision table: one row per non-identity d=3/d=4 pattern, read by
+# ``decide``.  Each decider takes (A, tag, tol, all_branches) with A
+# validated and tag = classify(A).
 _DECIDERS = {
     Pattern.D3_DEG2_1_1_L: _principal_only,
     Pattern.D3_DEG2_1_L_L_POS: _repeated_pair,
@@ -759,53 +740,6 @@ _DECIDERS = {
     Pattern.D4_JORDAN3: _principal_only,
     Pattern.D4_MIXED_JORDAN2: _principal_only,
 }
-
-
-def _tagged(M: object, tag: CaseTag | None, tol: Tolerances) -> tuple[np.ndarray, CaseTag]:
-    return as_matrix(M), classify(M, tol) if tag is None else tag
-
-
-def embed_d3_deg2(
-    M: object,
-    tag: CaseTag | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-    all_branches: bool = False,
-) -> EmbeddingResult:
-    """d=3 with minimal polynomial degree 2: the polynomial logarithm on
-    {1, lam} for a simple lam, and for a repeated one (an equal-input
-    matrix) the repeated-pair decider: that logarithm beside the rotations
-    of the pair when lam > 0, the odd rotations alone when lam < 0."""
-    A, tag = _tagged(M, tag, tol)
-    return _DECIDERS[tag.pattern](A, tag, tol, all_branches)
-
-
-def embed_d3_cyclic_real(
-    M: object, tag: CaseTag | None = None, tol: Tolerances = DEFAULT_TOL
-) -> EmbeddingResult:
-    """d=3 cyclic with real spectrum: positive eigenvalues and a generator
-    polynomial logarithm are jointly necessary and sufficient."""
-    return _principal_only(*_tagged(M, tag, tol), tol)
-
-
-def embed_d3_complex(
-    M: object, tag: CaseTag | None = None, tol: Tolerances = DEFAULT_TOL
-) -> EmbeddingResult:
-    """d=3 with a complex-conjugate pair: every branch logarithm in the
-    interval of k where its rates are nonnegative."""
-    return _complex_branches(*_tagged(M, tag, tol), tol)
-
-
-def embed_d4(
-    M: object,
-    tag: CaseTag | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-    all_branches: bool = False,
-) -> EmbeddingResult:
-    """Case dispatch for d=4 (everything except the identity)."""
-    A, tag = _tagged(M, tag, tol)
-    if tag.pattern not in _DECIDERS or not tag.pattern.name.startswith("D4"):
-        raise MarkovEmbedError(f"embed_d4 cannot handle pattern {tag.pattern}")
-    return _DECIDERS[tag.pattern](A, tag, tol, all_branches)
 
 
 def decide(

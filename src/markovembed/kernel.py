@@ -67,10 +67,6 @@ class Spectrum:
 
     roots: tuple[tuple[complex, int], ...]
 
-    @property
-    def dim(self) -> int:
-        return sum(m for _, m in self.roots)
-
     def values(self) -> list[complex]:
         """Eigenvalues repeated by multiplicity."""
         out: list[complex] = []
@@ -90,10 +86,6 @@ class JordanStructure:
 
     blocks: tuple[tuple[complex, tuple[int, ...]], ...]
     min_poly_degree: int
-
-    @property
-    def dim(self) -> int:
-        return sum(sum(sizes) for _, sizes in self.blocks)
 
 
 def as_matrix(M: object) -> np.ndarray:

@@ -144,9 +144,9 @@ def embed_equal_input(
             return _embeddable([zero], Uniqueness.UNIQUE)
         Q = (-math.log1p(-c) / c) * A
         cand = _candidate(M, Q, 0, Construction.POLY_SMT, tol)
-        if cand is None:
+        if isinstance(cand, Reason):
             return _undecided(Reason.RESIDUAL_CHECK_FAILED)
-        u = uniqueness_certificates(M, Q, tol)
+        u = uniqueness_certificates(M, tol)
         if d == 2:
             u = Uniqueness.UNIQUE
         elif u is Uniqueness.UNKNOWN:
@@ -275,7 +275,7 @@ def embed_tn(p: TNParams, tol: Tolerances = DEFAULT_TOL) -> EmbeddingResult:
     if not is_generator(Q, tol):
         return _not_embeddable(Reason.LOG_NOT_GENERATOR)
     cand = _candidate(M, Q, 0, Construction.POLY_SMT, tol)
-    if cand is None:
+    if isinstance(cand, Reason):
         return _undecided(Reason.RESIDUAL_CHECK_FAILED)
     return _embeddable([cand], Uniqueness.UNIQUE)
 
@@ -377,7 +377,7 @@ def embed_k3st(p: K3STParams, tol: Tolerances = DEFAULT_TOL) -> EmbeddingResult:
     if not is_generator(Q, tol):
         return _not_embeddable(Reason.LOG_NOT_GENERATOR)
     cand = _candidate(M, Q, 0, Construction.POLY_SMT, tol)
-    if cand is None:
+    if isinstance(cand, Reason):
         return _undecided(Reason.RESIDUAL_CHECK_FAILED)
     return _embeddable([cand], Uniqueness.UNIQUE)
 

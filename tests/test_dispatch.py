@@ -1,10 +1,10 @@
 """One decision table for every d=3/d=4 case pattern.
 
-``decide`` and the public per-dimension deciders (``embed_d4`` and the
-``embed_d3_*`` functions) reach the same case decider, so on every input
-that passes the necessary-condition screen they return the same result.
-The corpus below is seeded and holds matrices of every non-identity d=3
-and d=4 pattern; it is built with NumPy and SciPy only.
+``decide`` reaches a case decider of the table for every non-identity
+d=3 and d=4 pattern, and a relabelling of the states, M -> P M P^T,
+changes none of its verdicts, reasons or uniqueness labels.  The corpus
+below is seeded, holds matrices of every such pattern and ends with the
+permuted twin of each; it is built with NumPy and SciPy only.
 """
 
 import importlib
@@ -13,19 +13,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from markovembed import (
-    DegenerateDenominatorError,
-    IllConditionedError,
-    Pattern,
-    Reason,
-    Verdict,
-    decide,
-    embed_d3_complex,
-    embed_d3_cyclic_real,
-    embed_d3_deg2,
-    embed_d4,
-    necessary_checks,
-)
+from markovembed import Pattern, decide
 
 from conftest import random_generator, random_markov
 
@@ -115,24 +103,6 @@ def pattern_corpus(seed=5, rounds=4):
     return out + [P @ M @ P.T for P, M in zip(perms, out)]
 
 
-def summary(res):
-    """Everything a result reports, with generator matrices as bytes."""
-    gens = tuple(
-        (g.branch, g.construction, g.residual, g.matrix.tobytes()) for g in res.generators
-    )
-    return res.verdict, res.reason, res.uniqueness, res.case, gens
-
-
-def public_decider(M, pattern, all_branches):
-    if pattern.name.startswith("D4"):
-        return embed_d4(M, all_branches=all_branches)
-    if pattern.name.startswith("D3_DEG2"):
-        return embed_d3_deg2(M, all_branches=all_branches)
-    if pattern is Pattern.D3_COMPLEX_PAIR:
-        return embed_d3_complex(M)
-    return embed_d3_cyclic_real(M)
-
-
 def test_table_keys_are_the_decided_patterns():
     assert set(embed_mod._DECIDERS) == DECIDED_PATTERNS
     assert set(embed_mod._DECIDERS.values()) == {
@@ -142,23 +112,16 @@ def test_table_keys_are_the_decided_patterns():
     }
 
 
-def test_every_pattern_decided_alike_through_the_table():
+def test_permuted_twins_decided_alike():
+    corpus = pattern_corpus()
+    half = len(corpus) // 2
     seen = set()
-    compared = 0
-    for M in pattern_corpus():
+    for M, twin in zip(corpus[:half], corpus[half:]):
         for all_branches in (False, True):
-            res = decide(M, all_branches=all_branches)
-            if res.case is None:
-                continue
-            seen.add(res.case.pattern)
-            if not necessary_checks(M).all_ok:
-                continue
-            try:
-                direct = public_decider(M, res.case.pattern, all_branches)
-            except (IllConditionedError, DegenerateDenominatorError):
-                assert (res.verdict, res.reason) == (Verdict.UNDECIDED, Reason.ILL_CONDITIONED)
-            else:
-                assert summary(direct) == summary(res), res.case
-            compared += 1
+            res, other = (decide(A, all_branches=all_branches) for A in (M, twin))
+            if res.case is not None:
+                seen.add(res.case.pattern)
+            assert (res.verdict, res.reason, res.uniqueness) == (
+                other.verdict, other.reason, other.uniqueness
+            ), (res.case, all_branches)
     assert seen >= DECIDED_PATTERNS, DECIDED_PATTERNS - seen
-    assert compared > 300

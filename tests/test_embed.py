@@ -23,9 +23,6 @@ from markovembed import (
     decide,
     delta_min,
     embed_d2,
-    embed_d3_complex,
-    embed_d3_cyclic_real,
-    embed_d3_deg2,
     eq_input_extremal_generators,
     hyperbola_search,
     is_generator,
@@ -40,7 +37,6 @@ from markovembed.embed import (
     _branch_interval,
     _pair_decomposition,
     _sheet_constraints,
-    _sheet_search,
 )
 from markovembed.kernel import DEFAULT_TOL, scale_of
 
@@ -244,7 +240,7 @@ class TestCoeffFormulas:
 class TestD3Deg2:
     def test_equal_input_half(self):
         M = constant_input(0.5)
-        res = embed_d3_deg2(M)
+        res = decide(M)
         expected = (-math.log(0.5) / 0.5) * (M - np.eye(3))
         assert res.verdict is Verdict.EMBEDDABLE
         assert np.abs(res.generators[0].matrix - expected).max() < 1e-12
@@ -459,20 +455,24 @@ class TestD3Cyclic:
             tag = classify(M)
             if tag.pattern not in (Pattern.D3_SIMPLE_REAL, Pattern.D3_JORDAN2):
                 continue
-            res = embed_d3_cyclic_real(M, tag)
+            res = decide(M)
+            assert res.case == tag
             assert res.verdict is Verdict.EMBEDDABLE
             assert np.abs(res.generators[0].matrix - Q).max() < 1e-8
             assert res.uniqueness is Uniqueness.UNIQUE
             done += 1
 
     def test_product_of_commuting_flows_not_embeddable(self):
-        # a = 1 - e^{-t}, b = 1 - e^{-s} with t != s: the cubic-coefficient
-        # log has a strictly negative entry
+        # a = 1 - e^{-t}, b = 1 - e^{-s} with t != s: the entry screen
+        # rejects the sign pattern, and the cubic-coefficient log, the sole
+        # candidate, has a strictly negative rate
         a, b = 1 - math.exp(-1.0), 1 - math.exp(-0.4)
         M = np.array([[1 - a, a, 0], [0, 1, 0], [b, 0, 1 - b]])
-        res = embed_d3_cyclic_real(M)
+        res = decide(M)
         assert res.verdict is Verdict.NOT_EMBEDDABLE
-        assert res.reason is Reason.LOG_NOT_GENERATOR
+        assert res.reason is Reason.TRANSITIVITY_VIOLATION
+        R = poly_in(smt_coeffs(classify(M)), M - np.eye(3))
+        assert R[~np.eye(3, dtype=bool)].min() < -1e-3
 
 
 class TestD3Complex:
@@ -490,7 +490,7 @@ class TestD3Complex:
             M = mat_exp(Q)
             if classify(M).pattern is not Pattern.D3_COMPLEX_PAIR:
                 continue
-            res = embed_d3_complex(M)
+            res = decide(M)
             assert res.verdict is Verdict.EMBEDDABLE
             assert len(res.generators) == 1
             assert res.uniqueness is Uniqueness.UNIQUE
@@ -504,7 +504,8 @@ class TestD3Complex:
         M = mat_exp(Q)
         tag = classify(M)
         if tag.pattern is Pattern.D3_COMPLEX_PAIR:
-            res = embed_d3_complex(M, tag)
+            res = decide(M)
+            assert res.case == tag
             assert res.verdict is Verdict.EMBEDDABLE
             assert any(np.abs(g.matrix - Q).max() < 1e-8 for g in res.generators)
 
@@ -645,15 +646,13 @@ class TestHyperbola:
         M[1:, 1:] = constant_input(c)
         lam = -(c - 1)
         dec = _pair_decomposition(M, [1.0], lam, DEFAULT_TOL)
-        fixed = np.zeros((2, 2))
-        status, point = hyperbola_search(dec, fixed, math.log(abs(lam)), math.pi)
+        rows = _sheet_constraints(dec, np.zeros((2, 2)), math.log(abs(lam)))
+        rows = rows * (1.0, math.pi, math.pi, math.pi)
+        status, point = hyperbola_search(rows, DEFAULT_TOL)
         assert status is SearchStatus.FOUND
         # the point's rates are the off-diagonal entries of its logarithm
-        rows = _sheet_constraints(dec, fixed, math.log(abs(lam)))
         R = np.zeros((4, 4))
-        R[~np.eye(4, dtype=bool)] = (rows * (1.0, math.pi, math.pi, math.pi)) @ (
-            1.0, point.x, point.y, point.z
-        )
+        R[~np.eye(4, dtype=bool)] = rows @ (1.0, point.x, point.y, point.z)
         np.fill_diagonal(R, -R.sum(axis=1))
         assert is_generator(R)
         assert np.abs(scipy.linalg.expm(R) - M).max() <= 1e-8
@@ -682,12 +681,12 @@ class TestHyperbola:
     def test_single_constraint_statuses(self):
         # y + z >= 3 holds on a whole circle of the sheet, where y + z is
         # constant, so any point of that conic is a candidate
-        status, point = _sheet_search(np.array([[-3.0, 0.0, 1.0, 1.0]]), DEFAULT_TOL)
+        status, point = hyperbola_search(np.array([[-3.0, 0.0, 1.0, 1.0]]), DEFAULT_TOL)
         assert status is SearchStatus.FOUND
         assert abs(point.y + point.z - 3.0) < 1e-12
-        # hyperbola_search builds one row per off-diagonal entry of a
+        # the rows of a decision are one per off-diagonal entry of a
         # similarity T (.) T^-1, which cannot express a single constraint,
-        # so this drives the search core.  2 - (y + z) >= 0 holds on the
+        # so this one is hand-built.  2 - (y + z) >= 0 holds on the
         # sheet only at (0, 1, 1); shifted by 5e-10 its best candidate
         # violates by more than tol.nonneg and less than the margin.
         for shift, status in (
@@ -696,7 +695,7 @@ class TestHyperbola:
             (1e-8, SearchStatus.INFEASIBLE),
         ):
             rows = np.array([[2.0 - shift, 0.0, -1.0, -1.0]])
-            found, point = _sheet_search(rows, DEFAULT_TOL)
+            found, point = hyperbola_search(rows, DEFAULT_TOL)
             assert found is status
             if status is SearchStatus.FOUND:
                 assert abs(point.x) + abs(point.y - 1.0) + abs(point.z - 1.0) < 1e-12
@@ -711,7 +710,8 @@ class TestHyperbola:
         M[1:, 1:] = constant_input(c)
         lam = -(c - 1)
         dec = _pair_decomposition(M, [1.0], lam, DEFAULT_TOL)
-        status, point = hyperbola_search(dec, np.zeros((2, 2)), math.log(abs(lam)), math.pi)
+        rows = _sheet_constraints(dec, np.zeros((2, 2)), math.log(abs(lam)))
+        status, point = hyperbola_search(rows * (1.0, math.pi, math.pi, math.pi), DEFAULT_TOL)
         assert status is SearchStatus.INCONCLUSIVE and point is None
         res = decide(M)
         assert res.verdict is Verdict.UNDECIDED
@@ -761,7 +761,7 @@ class TestSheetCandidates:
         seen = {status: 0 for status in SearchStatus}
         for _ in range(200):
             rows = random_sheet_system(rng)
-            status, point = _sheet_search(rows, DEFAULT_TOL)
+            status, point = hyperbola_search(rows, DEFAULT_TOL)
             seen[status] += 1
             if status is SearchStatus.FOUND:
                 x, y, z = point.x, point.y, point.z
@@ -771,7 +771,7 @@ class TestSheetCandidates:
             if sampled >= 1e-6:
                 assert status is not SearchStatus.INFEASIBLE
             perm = rng.permutation(len(rows))
-            assert _sheet_search(rows[perm], DEFAULT_TOL)[0] is status
+            assert hyperbola_search(rows[perm], DEFAULT_TOL)[0] is status
         assert seen[SearchStatus.FOUND] >= 30 and seen[SearchStatus.INFEASIBLE] >= 30
 
 
@@ -897,8 +897,7 @@ class TestNecessaryShortCircuits:
 class TestUniquenessCertificates:
     def test_large_diagonal(self):
         M = 0.8 * np.eye(3) + np.full((3, 3), 0.2 / 3)
-        Q = principal_log(M)
-        assert uniqueness_certificates(M, Q) is Uniqueness.UNIQUE
+        assert uniqueness_certificates(M) is Uniqueness.UNIQUE
 
     def test_det_certificate(self, rng):
         done = 0
