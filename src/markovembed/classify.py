@@ -1,14 +1,16 @@
 """Case classification for Markov matrices of dimension 2-4.
 
-Every Markov matrix maps to exactly one case pattern determined by its
-dimension, minimal-polynomial degree and Jordan structure.  The patterns
-drive the decision engine's dispatch.  The necessary conditions screen in
-two parts: ``entry_screen`` reads the entries alone (det, diagonal, sign
-pattern) before any spectral work; ``analyse`` is the one analysis pass (a
-single ``jordan_structure``, which computes the spectrum once, and the case
-lookup on it), and ``spectral_screen`` reads its eigenvalues and block
-sizes.  ``classify`` and ``necessary_checks`` are their validating public
-forms.
+A Markov matrix's case pattern is the row of one case table, ``_CASES``,
+that holds its Jordan signature: the block sizes of the eigenvalue 1 and
+the kind (real or complex) and block sizes of each other eigenvalue.  The
+patterns drive the decision engine's dispatch, and the same row gives the
+engine each named eigenvalue's index and kind.  The necessary conditions
+screen in two parts: ``entry_screen`` reads the entries alone (det,
+diagonal, sign pattern) before any spectral work; ``analyse`` is the one
+analysis pass (a single ``jordan_structure``, which computes the spectrum
+once, and the case lookup on it), and ``spectral_screen`` reads its
+eigenvalues and block sizes.  ``classify`` and ``necessary_checks`` are
+their validating public forms.
 """
 
 from __future__ import annotations
@@ -90,124 +92,75 @@ class NecessaryReport:
         )
 
 
-def _non_unit(js: JordanStructure) -> list[tuple[complex, tuple[int, ...]]]:
-    return [(z, s) for z, s in js.blocks if z != 1.0]
+# The case table: each pattern's Jordan signature.  A row holds the block
+# sizes of the eigenvalue 1 and, for each other eigenvalue, its name in the
+# tag, its kind and its block sizes.  Kinds: "r" a real eigenvalue, "+" or
+# "-" a real double eigenvalue with 1x1 blocks by its sign, "c" a complex
+# pair, named by its member with Im > 0.  Each row lists its eigenvalues in
+# the order of _case_tag's sort; equal kinds and sizes go by descending
+# real part (lambda1 > lambda2 > ...).
+_CASES = {
+    Pattern.D2_IDENTITY: ((1, 1), ()),
+    Pattern.D2_SIMPLE: ((1,), (("lambda", "r", (1,)),)),
+    Pattern.D3_IDENTITY: ((1, 1, 1), ()),
+    Pattern.D3_DEG2_1_1_L: ((1, 1), (("lambda", "r", (1,)),)),
+    Pattern.D3_DEG2_1_L_L_POS: ((1,), (("lambda", "+", (1, 1)),)),
+    Pattern.D3_DEG2_1_L_L_NEG: ((1,), (("lambda", "-", (1, 1)),)),
+    Pattern.D3_SIMPLE_REAL: ((1,), (("lambda1", "r", (1,)), ("lambda2", "r", (1,)))),
+    Pattern.D3_JORDAN2: ((1,), (("lambda", "r", (2,)),)),
+    Pattern.D3_COMPLEX_PAIR: ((1,), (("lambda", "c", (1,)),)),
+    Pattern.D4_IDENTITY: ((1, 1, 1, 1), ()),
+    Pattern.D4_DEG2_TRIPLE_ONE: ((1, 1, 1), (("lambda", "r", (1,)),)),
+    Pattern.D4_DEG2_TRIPLE_L: ((1,), (("lambda", "r", (1, 1, 1)),)),
+    Pattern.D4_DEG2_DOUBLE_POS: ((1, 1), (("lambda", "+", (1, 1)),)),
+    Pattern.D4_DEG2_DOUBLE_NEG: ((1, 1), (("lambda", "-", (1, 1)),)),
+    Pattern.D4_DEG3_TWO_ONES_DISTINCT: (
+        (1, 1), (("lambda1", "r", (1,)), ("lambda2", "r", (1,)))
+    ),
+    Pattern.D4_DEG3_TWO_ONES_JORDAN: ((1, 1), (("lambda", "r", (2,)),)),
+    Pattern.D4_DEG3_L_JORDAN_L: ((1,), (("lambda", "r", (2, 1)),)),
+    Pattern.D4_DEG3_DOUBLE_L2_POS: ((1,), (("lambda1", "r", (1,)), ("lambda2", "+", (1, 1)))),
+    Pattern.D4_DEG3_DOUBLE_L2_NEG: ((1,), (("lambda1", "r", (1,)), ("lambda2", "-", (1, 1)))),
+    Pattern.D4_DEG3_COMPLEX: ((1, 1), (("lambda", "c", (1,)),)),
+    Pattern.D4_SIMPLE_REAL: (
+        (1,), (("lambda1", "r", (1,)), ("lambda2", "r", (1,)), ("lambda3", "r", (1,)))
+    ),
+    Pattern.D4_SIMPLE_COMPLEX: ((1,), (("theta", "c", (1,)), ("lambda", "r", (1,)))),
+    Pattern.D4_JORDAN3: ((1,), (("lambda", "r", (3,)),)),
+    Pattern.D4_MIXED_JORDAN2: ((1,), (("lambda1", "r", (1,)), ("lambda2", "r", (2,)))),
+}
+
+_BY_SIGNATURE = {
+    (units, tuple((kind, sizes) for _name, kind, sizes in named)): (pattern, named)
+    for pattern, (units, named) in _CASES.items()
+}
 
 
-def _sole(blocks):
-    if len(blocks) != 1:
-        raise ClassificationError(f"expected one non-unit eigenvalue, got {blocks}")
-    return blocks[0]
+def _kind(z: complex, sizes: tuple[int, ...]) -> str:
+    if z.imag > 0.0:
+        return "c"
+    return "r" if sizes != (1, 1) else "+" if z.real >= 0.0 else "-"
 
 
-def _classify_d2(js: JordanStructure) -> CaseTag:
-    if js.min_poly_degree == 1:
-        return CaseTag(2, 1, Pattern.D2_IDENTITY)
-    lam, _sizes = _sole(_non_unit(js))
-    return CaseTag(2, 2, Pattern.D2_SIMPLE, {"lambda": lam})
-
-
-def _classify_d3(js: JordanStructure) -> CaseTag:
-    deg = js.min_poly_degree
-    if deg == 1:
-        return CaseTag(3, 1, Pattern.D3_IDENTITY)
-    others = _non_unit(js)
-    if deg == 2:
-        lam, sizes = _sole(others)
-        if sum(sizes) == 1:
-            return CaseTag(3, 2, Pattern.D3_DEG2_1_1_L, {"lambda": lam})
-        pat = Pattern.D3_DEG2_1_L_L_POS if lam.real >= 0.0 else Pattern.D3_DEG2_1_L_L_NEG
-        return CaseTag(3, 2, pat, {"lambda": lam})
-    if deg == 3:
-        cplx = [z for z, _ in others if z.imag > 0.0]
-        if cplx:
-            return CaseTag(3, 3, Pattern.D3_COMPLEX_PAIR, {"lambda": cplx[0]})
-        if len(others) == 2:
-            l1, l2 = sorted((z.real for z, _ in others), reverse=True)
-            return CaseTag(3, 3, Pattern.D3_SIMPLE_REAL, {"lambda1": l1, "lambda2": l2})
-        lam, sizes = _sole(others)
-        if sizes == (2,):
-            return CaseTag(3, 3, Pattern.D3_JORDAN2, {"lambda": lam})
-    raise ClassificationError(f"no d=3 pattern for blocks {js.blocks}")
-
-
-def _classify_d4(js: JordanStructure) -> CaseTag:
-    deg = js.min_poly_degree
-    if deg == 1:
-        return CaseTag(4, 1, Pattern.D4_IDENTITY)
-    others = _non_unit(js)
-    unit_mult = sum(sum(s) for z, s in js.blocks if z == 1.0)
-
-    if deg == 2:
-        lam, sizes = _sole(others)
-        if unit_mult == 3:
-            return CaseTag(4, 2, Pattern.D4_DEG2_TRIPLE_ONE, {"lambda": lam})
-        if sum(sizes) == 3:
-            return CaseTag(4, 2, Pattern.D4_DEG2_TRIPLE_L, {"lambda": lam})
-        pat = (
-            Pattern.D4_DEG2_DOUBLE_POS if lam.real >= 0.0 else Pattern.D4_DEG2_DOUBLE_NEG
-        )
-        return CaseTag(4, 2, pat, {"lambda": lam})
-
-    if deg == 3:
-        cplx = [z for z, _ in others if z.imag > 0.0]
-        if cplx:
-            return CaseTag(4, 3, Pattern.D4_DEG3_COMPLEX, {"lambda": cplx[0]})
-        if unit_mult == 2:
-            if len(others) == 2:
-                l1, l2 = sorted((z.real for z, _ in others), reverse=True)
-                return CaseTag(
-                    4, 3, Pattern.D4_DEG3_TWO_ONES_DISTINCT, {"lambda1": l1, "lambda2": l2}
-                )
-            (lam, sizes), = others
-            if sizes == (2,):
-                return CaseTag(4, 3, Pattern.D4_DEG3_TWO_ONES_JORDAN, {"lambda": lam})
-        else:
-            if len(others) == 1:
-                (lam, sizes), = others
-                if sizes == (2, 1):
-                    return CaseTag(4, 3, Pattern.D4_DEG3_L_JORDAN_L, {"lambda": lam})
-            if len(others) == 2:
-                simple = [z for z, s in others if sum(s) == 1]
-                double = [(z, s) for z, s in others if sum(s) == 2]
-                if len(simple) == 1 and len(double) == 1 and double[0][1] == (1, 1):
-                    l2 = double[0][0].real
-                    pat = (
-                        Pattern.D4_DEG3_DOUBLE_L2_POS
-                        if l2 >= 0.0
-                        else Pattern.D4_DEG3_DOUBLE_L2_NEG
-                    )
-                    return CaseTag(
-                        4, 3, pat, {"lambda1": simple[0].real, "lambda2": l2}
-                    )
-
-    if deg == 4:
-        cplx = sorted((z for z, _ in others if z.imag > 0.0), key=lambda z: -z.real)
-        reals = sorted((z.real for z, s in others if z.imag == 0.0), reverse=True)
-        if len(cplx) == 1 and len(reals) == 1:
-            return CaseTag(
-                4, 4, Pattern.D4_SIMPLE_COMPLEX, {"lambda": reals[0], "theta": cplx[0]}
-            )
-        if len(cplx) == 0 and len(reals) == 3:
-            l1, l2, l3 = reals
-            return CaseTag(
-                4, 4, Pattern.D4_SIMPLE_REAL,
-                {"lambda1": l1, "lambda2": l2, "lambda3": l3},
-            )
-        if len(others) == 1:
-            (lam, sizes), = others
-            if sizes == (3,):
-                return CaseTag(4, 4, Pattern.D4_JORDAN3, {"lambda": lam})
-        if len(others) == 2:
-            jordan = [(z, s) for z, s in others if s == (2,)]
-            plain = [z for z, s in others if s == (1,)]
-            if len(jordan) == 1 and len(plain) == 1:
-                return CaseTag(
-                    4, 4, Pattern.D4_MIXED_JORDAN2,
-                    {"lambda1": plain[0].real, "lambda2": jordan[0][0].real},
-                )
-
-    raise ClassificationError(f"no d=4 pattern for blocks {js.blocks}")
+def _case_tag(js: JordanStructure) -> CaseTag:
+    """The case table's row for the Jordan signature of ``js``, with the
+    eigenvalues it names; ClassificationError for a signature not in it."""
+    units, members = (), []
+    for z, sizes in js.blocks:
+        if z == 1.0:
+            units = sizes
+        elif z.imag >= 0.0:
+            members.append((sum(sizes), sizes, _kind(z, sizes), -z.real, z))
+    members.sort(key=lambda m: m[:4])
+    row = _BY_SIGNATURE.get((units, tuple((m[2], m[1]) for m in members)))
+    if row is None:
+        raise ClassificationError(f"no case for Jordan blocks {js.blocks}")
+    pattern, named = row
+    eigen = {
+        name: m[4] if kind == "c" else m[4].real for (name, kind, _), m in zip(named, members)
+    }
+    dim = sum(sum(sizes) for _z, sizes in js.blocks)
+    return CaseTag(dim, js.min_poly_degree, pattern, eigen)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -230,8 +183,7 @@ def analyse(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Analysis:
     for z, _sizes in js.blocks:
         if abs(z) > 1.0 + 100.0 * tol.spec_cluster:
             raise IllConditionedError(f"computed eigenvalue {z} outside the unit disk")
-    by_dim = {2: _classify_d2, 3: _classify_d3, 4: _classify_d4}
-    return Analysis(jordan=js, tag=by_dim[A.shape[0]](js))
+    return Analysis(jordan=js, tag=_case_tag(js))
 
 
 def classify(M: object, tol: Tolerances = DEFAULT_TOL) -> CaseTag:

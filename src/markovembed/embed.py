@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .classify import CaseTag, Pattern, analyse, entry_screen, spectral_screen
+from .classify import _CASES, CaseTag, Pattern, analyse, entry_screen, spectral_screen
 from .errors import (
     ClassificationError,
     DegenerateDenominatorError,
@@ -171,23 +171,6 @@ def _candidate(
 # (Higham, Functions of Matrices, 2008, sec. 1.2)
 # ---------------------------------------------------------------------------
 
-# Named eigenvalues whose index (largest Jordan block size) exceeds 1.
-_INDEX = {
-    (Pattern.D3_JORDAN2, "lambda"): 2,
-    (Pattern.D4_DEG3_TWO_ONES_JORDAN, "lambda"): 2,
-    (Pattern.D4_DEG3_L_JORDAN_L, "lambda"): 2,
-    (Pattern.D4_MIXED_JORDAN2, "lambda2"): 2,
-    (Pattern.D4_JORDAN3, "lambda"): 3,
-}
-
-# The named eigenvalue that stands for a complex-conjugate pair.
-_PAIRED = {
-    Pattern.D3_COMPLEX_PAIR: "lambda",
-    Pattern.D4_DEG3_COMPLEX: "lambda",
-    Pattern.D4_SIMPLE_COMPLEX: "theta",
-}
-
-
 def smt_coeffs(
     case: CaseTag,
     eigen_data: dict[str, complex] | None = None,
@@ -198,19 +181,23 @@ def smt_coeffs(
 
     p(x) = sum_i c[i] x^(i+1) is the Hermite interpolant of log(1 + x) on the
     roots mu = lambda - 1 of A's minimal polynomial: 0, and each eigenvalue the
-    tag names up to its index, a complex one with its conjugate on the branch
-    log lambda + 2 pi i k. Raises :class:`DegenerateDenominatorError` for a
-    real eigenvalue <= 0, a pair with |Im lambda| < tol.spec_cluster or two
-    nodes within tol.spec_cluster of each other.
+    tag names, repeated as often as its index, a complex pair with its
+    conjugate on the branch log lambda + 2 pi i k.  The index (largest block
+    size) and the kind come from the pattern's row of the case table; a name
+    outside the row counts as a real simple eigenvalue.  Raises
+    :class:`DegenerateDenominatorError` for a real eigenvalue <= 0, a pair
+    with |Im lambda| < tol.spec_cluster or two nodes within tol.spec_cluster
+    of each other.
     """
     eig = case.eigen if eigen_data is None else eigen_data
-    p = case.pattern
-    # nodes lambda_i (each repeated up to its index) with log's Taylor coefficients;
+    row = {name: (kind, sizes) for name, kind, sizes in _CASES[case.pattern][1]}
+    # nodes lambda_i (each repeated as often as its index) with log's Taylor coefficients;
     # lambda_i - lambda_j is exact where (lambda_i - 1) - (lambda_j - 1) rounds
     nodes, f = [1.0], [[0.0]]
     for name in sorted(eig):
         lam = complex(eig[name])
-        if name == _PAIRED.get(p):
+        kind, sizes = row.get(name, ("r", (1,)))
+        if kind == "c":
             if abs(lam.imag) < tol.spec_cluster:
                 raise DegenerateDenominatorError("pair is not genuinely complex")
             z = cmath.log(lam) + 2j * math.pi * k
@@ -219,7 +206,7 @@ def smt_coeffs(
             lam = lam.real
             if lam <= 0.0:
                 raise DegenerateDenominatorError(f"no real logarithm at lambda={lam:g}")
-            index = _INDEX.get((p, name), 1)
+            index = max(sizes)
             new = [lam] * index
             taylor = [[math.log(lam), 1.0 / lam, -0.5 / lam**2][:index]] * index
         if any(abs(new[0] - x) < tol.spec_cluster for x in nodes):
@@ -510,22 +497,9 @@ def uniqueness_certificates(M: object, tol: Tolerances = DEFAULT_TOL) -> Uniquen
     return Uniqueness.UNKNOWN
 
 
-def _gate(
-    tag: CaseTag, lams: list[float], tol: Tolerances, culver: bool = True
-) -> EmbeddingResult | None:
-    """The sign gate: Undecided for an eigenvalue within tol.nonneg of 0 or 1,
-    NotEmbeddable for a negative one if ``culver``, None when all pass."""
-    for lam in lams:
-        if abs(lam) <= tol.nonneg or abs(1.0 - lam) <= tol.nonneg:
-            return _undecided(Reason.NEAR_BOUNDARY, tag)
-        if culver and lam < 0.0:
-            return _not_embeddable(Reason.NEGATIVE_EIGENVALUE_CULVER, tag)
-    return None
-
-
 def _lams(tag: CaseTag) -> list[float]:
-    """Real parts of the tag's eigenvalues named lambda, lambda1, ..."""
-    return [complex(tag.eigen[k]).real for k in sorted(tag.eigen) if k.startswith("lambda")]
+    """The tag's real eigenvalues, in the order of its case-table row."""
+    return [tag.eigen[name].real for name, kind, _ in _CASES[tag.pattern][1] if kind != "c"]
 
 
 def _rotation_branch_range(
@@ -572,17 +546,10 @@ def _repeated_pair(
     *fixed, pair = _lams(tag)
     if tag.pattern is Pattern.D4_DEG2_TRIPLE_L:
         fixed = [pair]
-    stop = _gate(tag, fixed, tol) or _gate(tag, [pair], tol, culver=False)
-    if stop is not None:
-        return stop
     fixed = fixed or [1.0] * (d - 3)
     gens, residual_only = [], False
     if pair > 0.0:
-        try:
-            coeffs = smt_coeffs(tag, tol=tol)
-        except DegenerateDenominatorError:
-            return _undecided(Reason.ILL_CONDITIONED, tag)
-        Q = poly_in(coeffs, A - np.eye(d))
+        Q = poly_in(smt_coeffs(tag, tol=tol), A - np.eye(d))
         principal = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
         if isinstance(principal, Reason):
             residual_only = principal is Reason.RESIDUAL_CHECK_FAILED
@@ -637,14 +604,7 @@ def _principal_only(
     for D3_DEG2_1_1_L and D4_DEG2_TRIPLE_ONE rotations inside the unit
     eigenspace would need purely imaginary generator eigenvalues, which
     Gershgorin excludes."""
-    stop = _gate(tag, _lams(tag), tol)
-    if stop is not None:
-        return stop
-    try:
-        coeffs = smt_coeffs(tag, tol=tol)
-    except DegenerateDenominatorError:
-        return _undecided(Reason.ILL_CONDITIONED, tag)
-    Q = poly_in(coeffs, A - np.eye(A.shape[0]))
+    Q = poly_in(smt_coeffs(tag, tol=tol), A - np.eye(A.shape[0]))
     cand = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
     if cand is Reason.LOG_NOT_GENERATOR:
         return _not_embeddable(cand, tag)
@@ -683,20 +643,11 @@ def _complex_branches(
     the branch k, so the branch-k logarithm is R_0 + k D with
     D = poly_in(c(1) - c(0), A - I), and the generator branches are the
     integers of one interval; each is re-verified."""
-    stop = _gate(tag, _lams(tag) if "theta" in tag.eigen else [], tol)
-    if stop is not None:
-        return stop
-    r = abs(complex(tag.eigen.get("theta", tag.eigen.get("lambda"))))
-    if r >= 1.0 - tol.nonneg:
-        return _not_embeddable(Reason.UNIT_CIRCLE_EIGENVALUE, tag)
-    if r <= tol.nonneg:
+    # the unit-circle screen has already required |theta| < 1 - tol.nonneg
+    if abs(complex(tag.eigen.get("theta", tag.eigen.get("lambda")))) <= tol.nonneg:
         return _not_embeddable(Reason.DET_NONPOSITIVE, tag)
 
-    try:
-        c0 = smt_coeffs(tag, k=0, tol=tol)
-        c1 = smt_coeffs(tag, k=1, tol=tol)
-    except DegenerateDenominatorError:
-        return _undecided(Reason.ILL_CONDITIONED, tag)
+    c0, c1 = smt_coeffs(tag, k=0, tol=tol), smt_coeffs(tag, k=1, tol=tol)
     Ash = A - np.eye(A.shape[0])
     R0, D = poly_in(c0, Ash), poly_in(np.subtract(c1, c0), Ash)
     gens = []
@@ -717,7 +668,8 @@ def _complex_branches(
 
 # The decision table: one row per non-identity d=3/d=4 pattern, read by
 # ``decide``.  Each decider takes (A, tag, tol, all_branches) with A
-# validated and tag = classify(A).
+# validated, tag = classify(A) and the tag's real eigenvalues clear of 0
+# and 1.
 _DECIDERS = {
     Pattern.D3_DEG2_1_1_L: _principal_only,
     Pattern.D3_DEG2_1_L_L_POS: _repeated_pair,
@@ -800,6 +752,10 @@ def decide(
         return _not_embeddable(Reason.UNIT_CIRCLE_EIGENVALUE, tag)
     if not culver_ok:
         return _not_embeddable(Reason.NEGATIVE_EIGENVALUE_CULVER, tag)
+    # the sign gate; a real eigenvalue < -tol.nonneg has a block size of odd
+    # count, so Culver's condition has already rejected it
+    if any(abs(lam) <= tol.nonneg or abs(1.0 - lam) <= tol.nonneg for lam in _lams(tag)):
+        return _undecided(Reason.NEAR_BOUNDARY, tag)
 
     try:
         return _DECIDERS[tag.pattern](A, tag, tol, all_branches)

@@ -1,10 +1,12 @@
 import importlib
+import itertools
 import math
 
 import numpy as np
 
 from markovembed import (
     DEFAULT_TOL,
+    ClassificationError,
     IllConditionedError,
     NecessaryReport,
     Pattern,
@@ -296,3 +298,117 @@ class TestEntryScreens:
             if res.reason is Reason.TRANSITIVITY_VIOLATION:
                 assert violates_transitivity(M, DEFAULT_TOL.nonneg), M
         assert {Reason.DET_NONPOSITIVE, Reason.TRANSITIVITY_VIOLATION} <= seen
+
+
+def partitions(n, most=None):
+    """The partitions of n, as descending tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first, *rest)
+
+
+def slot_lists(n):
+    """Lists of eigenvalue slots filling n dimensions: ("r", sizes) for a
+    real eigenvalue, ("c", sizes) for a complex pair, which fills twice."""
+    if n == 0:
+        yield []
+        return
+    for m in range(1, n + 1):
+        for sizes in partitions(m):
+            for rest in slot_lists(n - m):
+                yield [("r", sizes), *rest]
+            for rest in slot_lists(n - 2 * m) if 2 * m <= n else ():
+                yield [("c", sizes), *rest]
+
+
+def jordan_structures():
+    """Every Jordan structure with the eigenvalue 1, for d = 2-4: each
+    partition at 1, each filling of the rest by real eigenvalues (positive,
+    zero or negative) and complex pairs, each with each partition."""
+    reals, pairs = (0.5, 0.25, 0.0, -0.25, -0.5), (0.3 + 0.4j, -0.3 + 0.4j)
+    seen = {}
+    for d in (2, 3, 4):
+        for m in range(1, d + 1):
+            for units, slots in itertools.product(partitions(m), slot_lists(d - m)):
+                rs = [sizes for kind, sizes in slots if kind == "r"]
+                cs = [sizes for kind, sizes in slots if kind == "c"]
+                for rv in itertools.permutations(reals, len(rs)):
+                    for cv in itertools.permutations(pairs, len(cs)):
+                        blocks = [(1.0 + 0j, units)] + [(complex(v), s) for v, s in zip(rv, rs)]
+                        for z, s in zip(cv, cs):
+                            blocks += [(z, s), (z.conjugate(), s)]
+                        seen[tuple(sorted(blocks, key=lambda b: (b[0].real, b[0].imag)))] = 0
+    return [kernel_mod.JordanStructure(b, sum(max(s) for _z, s in b)) for b in seen]
+
+
+def signature(js):
+    """The sizes at 1 and the sorted (kind, sizes) of each other eigenvalue:
+    r real, + or - a real one with two 1x1 blocks by sign, c a complex pair."""
+    units = dict(js.blocks)[1.0]
+    others = []
+    for z, sizes in js.blocks:
+        if z != 1.0 and z.imag >= 0.0:
+            kind = "c" if z.imag else "r" if sizes != (1, 1) else "+" if z.real >= 0 else "-"
+            others.append((kind, sizes))
+    return units, tuple(sorted(others))
+
+
+class TestCaseTable:
+    STRUCTURES = jordan_structures()
+
+    def test_only_a_nontrivial_block_at_one_is_unclassified(self):
+        # a Jordan block of size > 1 at 1 makes the powers of M grow, which
+        # no Markov matrix allows; every other structure has a case
+        raised = 0
+        for js in self.STRUCTURES:
+            power_bounded = max(dict(js.blocks)[1.0]) == 1
+            try:
+                classify_mod._case_tag(js)
+            except ClassificationError:
+                assert not power_bounded, js
+                raised += 1
+            else:
+                assert power_bounded, js
+        assert 0 < raised < len(self.STRUCTURES)
+
+    def test_every_tag_covers_its_spectrum(self):
+        for js in self.STRUCTURES:
+            if max(dict(js.blocks)[1.0]) > 1:
+                continue
+            tag = classify_mod._case_tag(js)
+            assert tag == classify_mod._case_tag(kernel_mod.JordanStructure(
+                js.blocks[::-1], js.min_poly_degree
+            ))
+            units, row = classify_mod._CASES[tag.pattern]
+            sizes = dict(js.blocks)
+            assert tag.dim == sum(sum(s) for s in sizes.values())
+            assert set(sizes) == {1.0} | {
+                w for v in tag.eigen.values() for w in (v, complex(v).conjugate())
+            }
+            assert sizes[1.0] == units and tag.eigen.keys() == {n for n, _k, _s in row}
+            degree = max(units)
+            for name, kind, s in row:
+                assert sizes[tag.eigen[name]] == s
+                assert isinstance(tag.eigen[name], complex) == (kind == "c")
+                degree += max(s) * (2 if kind == "c" else 1)
+            assert tag.min_poly_degree == js.min_poly_degree == degree
+            # names of one kind and size descend: lambda1 > lambda2 > ...
+            for (n1, k1, s1), (n2, k2, s2) in itertools.combinations(row, 2):
+                if (k1, s1) == (k2, s2):
+                    assert n1 < n2 and tag.eigen[n1].real > tag.eigen[n2].real
+            if tag.pattern.name.endswith(("_POS", "_NEG")):
+                double = tag.eigen["lambda2" if "lambda2" in tag.eigen else "lambda"]
+                assert sizes[double] == (1, 1)
+                assert (double >= 0.0) == tag.pattern.name.endswith("_POS")
+
+    def test_each_pattern_has_one_signature(self):
+        reached = {}
+        for js in self.STRUCTURES:
+            if max(dict(js.blocks)[1.0]) == 1:
+                pattern = classify_mod._case_tag(js).pattern
+                reached.setdefault(pattern, set()).add(signature(js))
+        assert reached.keys() == set(Pattern)
+        assert all(len(sigs) == 1 for sigs in reached.values()), reached
