@@ -22,11 +22,10 @@ def char_poly(M: np.ndarray) -> np.ndarray:
     tr(M^k) via Newton's identities (no eigenvalue solver involved).
     """
     d = M.shape[0]
-    power = np.eye(d)
-    p = []
-    for _ in range(d):
+    power, p = M, [float(M.trace())]
+    for _ in range(d - 1):
         power = power @ M
-        p.append(np.trace(power))
+        p.append(float(power.trace()))
     e = [1.0]
     for k in range(1, d + 1):
         s = sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1))

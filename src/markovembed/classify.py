@@ -25,9 +25,9 @@ from .kernel import (
     DEFAULT_TOL,
     JordanStructure,
     Tolerances,
+    _is_markov,
     as_matrix,
     eigenvalues,
-    is_markov,
     jordan_structure,
 )
 
@@ -174,8 +174,10 @@ class Analysis:
 def analyse(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Analysis:
     """Jordan structure and case pattern of a validated Markov array.
 
-    Raises as :func:`classify` does; the caller has already checked that
-    ``A`` comes from :func:`as_matrix` and passes :func:`is_markov`.
+    Raises as :func:`classify` does.  It validates nothing: the caller has
+    already checked that ``A`` comes from :func:`as_matrix` and passes the
+    Markov test, so only the public stages it calls (``jordan_structure``,
+    which calls ``eigenvalues``) check their argument again.
     """
     js = jordan_structure(A, tol)
     # Markov spectra live in the closed unit disk; computed roots clearly
@@ -195,7 +197,7 @@ def classify(M: object, tol: Tolerances = DEFAULT_TOL) -> CaseTag:
     matrix can produce.
     """
     A = as_matrix(M)
-    if not is_markov(A, tol):
+    if not _is_markov(A, tol):
         raise ValueError("classify expects a Markov matrix")
     return analyse(A, tol).tag
 

@@ -40,11 +40,11 @@ from .errors import (
 from .kernel import (
     DEFAULT_TOL,
     Tolerances,
+    _is_markov,
+    _poly_in,
     as_matrix,
     is_generator,
-    is_markov,
     mat_exp,
-    poly_in,
     scale_of,
 )
 
@@ -134,20 +134,6 @@ def _undecided(reason, case=None) -> EmbeddingResult:
     return EmbeddingResult(Verdict.UNDECIDED, (), Uniqueness.UNKNOWN, reason, case)
 
 
-def _zero_row_sums(Q: np.ndarray) -> np.ndarray:
-    """A copy of Q with each row sum subtracted from its diagonal entry,
-    which leaves minus the off-diagonal row sum there.
-
-    A logarithm built as a polynomial in M - I, or in a basis whose first
-    column is all ones, has zero row sums by construction; what is left of
-    them is rounding, which grows with the coefficients (about 1e-9 at
-    coefficients of 1e6) and is no evidence against the candidate.
-    """
-    Q = Q.copy()
-    Q.reshape(-1)[:: len(Q) + 1] -= Q.sum(axis=1)
-    return Q
-
-
 def _candidate(
     M: np.ndarray,
     Q: np.ndarray,
@@ -156,8 +142,16 @@ def _candidate(
     tol: Tolerances,
 ) -> GeneratorCandidate | Reason:
     """Re-verify a proposed generator; on failure, the check it failed:
-    LOG_NOT_GENERATOR or RESIDUAL_CHECK_FAILED."""
-    Q = _zero_row_sums(Q)
+    LOG_NOT_GENERATOR or RESIDUAL_CHECK_FAILED.
+
+    It checks a copy of Q whose diagonal is minus the off-diagonal row sums.
+    A logarithm built as a polynomial in M - I, or in a basis whose first
+    column is all ones, has zero row sums by construction; what is left of
+    them is rounding, which grows with the coefficients (about 1e-9 at
+    coefficients of 1e6) and is no evidence against the candidate.
+    """
+    Q = Q.copy()
+    Q.reshape(-1)[:: len(Q) + 1] -= Q.sum(axis=1)
     if not is_generator(Q, tol):
         return Reason.LOG_NOT_GENERATOR
     residual = float(np.abs(mat_exp(Q) - M).max())
@@ -466,18 +460,23 @@ def embed_d2(M: object, tol: Tolerances = DEFAULT_TOL) -> EmbeddingResult:
     A = as_matrix(M)
     if A.shape[0] != 2:
         raise DimensionError("embed_d2 expects a 2x2 matrix")
+    return _kendall(A, None, tol)
+
+
+def _kendall(A: np.ndarray, tag: CaseTag | None, tol: Tolerances) -> EmbeddingResult:
+    """embed_d2 on a validated 2x2 array, its results tagged with ``tag``."""
     a, b = float(A[0, 1]), float(A[1, 0])
     s = a + b
     if s >= 1.0:
-        return _not_embeddable(Reason.DET_NONPOSITIVE)
+        return _not_embeddable(Reason.DET_NONPOSITIVE, tag)
     if s <= 0.0:
         zero = GeneratorCandidate(np.zeros((2, 2)), 0, Construction.PRINCIPAL_LOG, 0.0)
-        return _embeddable([zero], Uniqueness.UNIQUE)
+        return _embeddable([zero], Uniqueness.UNIQUE, tag)
     Q = (-math.log1p(-s) / s) * (A - np.eye(2))
     cand = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
     if isinstance(cand, Reason):
-        return _undecided(Reason.RESIDUAL_CHECK_FAILED)
-    return _embeddable([cand], Uniqueness.UNIQUE)
+        return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
+    return _embeddable([cand], Uniqueness.UNIQUE, tag)
 
 
 def uniqueness_certificates(M: object, tol: Tolerances = DEFAULT_TOL) -> Uniqueness:
@@ -514,17 +513,10 @@ def _rotation_branch_range(
     """
     cot = 1.0 / math.sqrt(3.0) if d == 3 else 1.0
     limit = cot * abs(log_modulus) * (1.0 + 1e-12) + slack
-    ks = []
-    if odd:
-        n = 0
-        while (2 * n + 1) * math.pi <= limit:
-            ks.extend([n, -n - 1])
-            n += 1
-    else:
-        n = 1
-        while 2 * n * math.pi <= limit:
-            ks.extend([n, -n])
-            n += 1
+    ks, n = [], 0 if odd else 1
+    while (2 * n + odd) * math.pi <= limit:
+        ks.extend([n, -n - odd])
+        n += 1
     return sorted(ks)
 
 
@@ -549,7 +541,7 @@ def _repeated_pair(
     fixed = fixed or [1.0] * (d - 3)
     gens, residual_only = [], False
     if pair > 0.0:
-        Q = poly_in(smt_coeffs(tag, tol=tol), A - np.eye(d))
+        Q = _poly_in(smt_coeffs(tag, tol=tol), A - np.eye(d))
         principal = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
         if isinstance(principal, Reason):
             residual_only = principal is Reason.RESIDUAL_CHECK_FAILED
@@ -604,7 +596,7 @@ def _principal_only(
     for D3_DEG2_1_1_L and D4_DEG2_TRIPLE_ONE rotations inside the unit
     eigenspace would need purely imaginary generator eigenvalues, which
     Gershgorin excludes."""
-    Q = poly_in(smt_coeffs(tag, tol=tol), A - np.eye(A.shape[0]))
+    Q = _poly_in(smt_coeffs(tag, tol=tol), A - np.eye(A.shape[0]))
     cand = _candidate(A, Q, 0, Construction.POLY_SMT, tol)
     if cand is Reason.LOG_NOT_GENERATOR:
         return _not_embeddable(cand, tag)
@@ -620,15 +612,16 @@ def _branch_interval(R0: np.ndarray, D: np.ndarray, tol: Tolerances) -> range:
     nor -D is a generator: its off-diagonal entries take both signs, and
     the interval is bounded.  A one-signed D is a numerical failure.
     """
-    off = ~np.eye(len(D), dtype=bool)
-    slack, step = R0[off] + tol.nonneg, D[off]
-    up, down = step > 0.0, step < 0.0
-    if not (up.any() and down.any()):
+    # (slack, step) per off-diagonal entry, in Python floats: a dozen entries
+    # cost less there than in NumPy calls
+    d, R, S = len(D), R0.tolist(), D.tolist()
+    pairs = [(R[i][j] + tol.nonneg, S[i][j]) for i in range(d) for j in range(d) if i != j]
+    up = [-r / s for r, s in pairs if s > 0.0]
+    down = [-r / s for r, s in pairs if s < 0.0]
+    if not (up and down):
         raise IllConditionedError("branch step has off-diagonal entries of one sign")
-    with np.errstate(over="ignore"):
-        lo = float((-slack[up] / step[up]).max())
-        hi = float((-slack[down] / step[down]).min())
-    if (slack[~(up | down)] < 0.0).any() or lo > hi:
+    lo, hi = max(up), min(down)
+    if any(r < 0.0 for r, s in pairs if s == 0.0) or lo > hi:
         return range(0)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise IllConditionedError("branch interval has no finite bound")
@@ -649,7 +642,7 @@ def _complex_branches(
 
     c0, c1 = smt_coeffs(tag, k=0, tol=tol), smt_coeffs(tag, k=1, tol=tol)
     Ash = A - np.eye(A.shape[0])
-    R0, D = poly_in(c0, Ash), poly_in(np.subtract(c1, c0), Ash)
+    R0, D = _poly_in(c0, Ash), _poly_in([b - a for a, b in zip(c0, c1)], Ash)
     gens = []
     uncertain = False
     for k in _branch_interval(R0, D, tol):
@@ -713,7 +706,7 @@ def decide(
     eigenvalues) surface as Undecided with a reason, never as NotEmbeddable.
     """
     A = as_matrix(M)
-    if not is_markov(A, tol):
+    if not _is_markov(A, tol):
         raise ValueError("decide expects a Markov matrix")
     d = A.shape[0]
 
@@ -745,7 +738,7 @@ def decide(
         return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
 
     if d == 2:
-        return dataclasses.replace(embed_d2(A, tol), case=tag)
+        return _kendall(A, tag, tol)
 
     unit_circle_ok, culver_ok = spectral_screen(analysis.jordan.blocks, det, tol)
     if not unit_circle_ok:

@@ -1,7 +1,11 @@
 """Dense linear-algebra kernel for 2x2 to 4x4 real matrices.
 
 Matrices are plain ``numpy.ndarray`` values; :func:`as_matrix` enforces the
-contract (real, finite, square, dimension 2-4).  Eigenvalues come from
+contract (real, finite, square, dimension 2-4).  Every public function
+that takes a matrix validates it with :func:`as_matrix` (``scale_of``
+excepted); the private cores ``_is_markov`` and ``_poly_in`` take an array
+that has already passed it, so a pipeline that validated its input once
+calls those.  Eigenvalues come from
 the roots of a characteristic polynomial, with relative clustering of
 near-degenerate roots so that downstream case dispatch sees a discrete
 multiplicity pattern.  For a Markov matrix that polynomial is the one of
@@ -50,8 +54,8 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("spec_cluster", "nonneg", "rowsum", "residual", "rank"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"tolerance {name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"tolerance {name} must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerances()
@@ -108,19 +112,23 @@ def scale_of(M: np.ndarray) -> float:
 
 def is_markov(M: object, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Entrywise nonnegative within tolerance and unit row sums."""
-    A = as_matrix(M)
-    if (A < -tol.nonneg).any():
-        return False
-    return bool(np.abs(A.sum(axis=1) - 1.0).max() <= tol.rowsum)
+    return _is_markov(as_matrix(M), tol)
+
+
+def _is_markov(A: np.ndarray, tol: Tolerances) -> bool:
+    # one NumPy reduction, the row sums; comparing Python floats costs less
+    return min(A.ravel().tolist()) >= -tol.nonneg and all(
+        abs(s - 1.0) <= tol.rowsum for s in A.sum(axis=1).tolist()
+    )
 
 
 def is_generator(Q: object, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Nonnegative off-diagonal within tolerance and zero row sums."""
     A = as_matrix(Q)
-    off = A - np.diag(np.diag(A))
-    if (off < -tol.nonneg).any():
-        return False
-    return bool(np.abs(A.sum(axis=1)).max() <= tol.rowsum)
+    d, rows = len(A), A.tolist()
+    return all(rows[i][j] >= -tol.nonneg for i in range(d) for j in range(d) if i != j) and all(
+        abs(s) <= tol.rowsum for s in A.sum(axis=1).tolist()
+    )
 
 
 def _poly_eval(ascending: list[complex], z: complex) -> complex:
@@ -135,22 +143,17 @@ def _poly_derivative(ascending: list[complex]) -> list[complex]:
 
 
 def _group_by_distance(raw: list[complex], threshold: float) -> list[list[complex]]:
-    n = len(raw)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(raw[i] - raw[j]) <= threshold:
-                parent[find(i)] = find(j)
+    """The components of the roots joined where |z - w| <= threshold, each
+    in input order, ordered by their first member."""
+    label = list(range(len(raw)))  # a root's component, named by its first member
+    for j, w in enumerate(raw):
+        for i in range(j):
+            if abs(raw[i] - w) <= threshold and label[i] != label[j]:
+                a, b = sorted((label[i], label[j]))
+                label = [a if c == b else c for c in label]
     groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(raw[i])
+    for c, z in zip(label, raw):
+        groups.setdefault(c, []).append(z)
     return list(groups.values())
 
 
@@ -175,6 +178,10 @@ def _consolidate_multiples(
     """
     d = len(coeffs)
     scale = max(1.0, radius)
+    # a group below needs two roots inside the widest radius, that of m = d
+    widest = _CONSOLIDATION_RADIUS.get(d, 0.0) * scale
+    if not any(abs(z - w) <= widest for i, z in enumerate(raw) for w in raw[:i]):
+        return raw
     ascending = [complex(c) for c in coeffs] + [1.0 + 0.0j]
     value_floor = 1e-13 * max(1.0, float(np.abs(coeffs).max())) * scale**d
 
@@ -235,10 +242,10 @@ def eigenvalues(M: object, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     merge into one root with summed multiplicity at their mean.
     """
     A = as_matrix(M)
-    markov = is_markov(A, tol)
+    markov = _is_markov(A, tol)
     B = A[:-1, :-1] - A[-1, :-1] if markov else A
     coeffs = _roots.char_poly(B)
-    raw = _roots.poly_roots(coeffs)
+    raw = _roots.poly_roots(coeffs.tolist())  # Python floats: cheaper arithmetic
     radius = max((abs(z) for z in raw), default=1.0)
     raw = _consolidate_multiples(raw, coeffs, radius, B, tol)
     if markov:
@@ -287,18 +294,11 @@ def jordan_structure(M: object, tol: Tolerances = DEFAULT_TOL) -> JordanStructur
         for _ in range(m):
             P = P @ B
             nullities.append(d - _numerical_rank(P, tol))
-        ge = [nullities[p] - nullities[p - 1] for p in range(1, m + 1)]
-        # the count of blocks of size >= p can only decrease with p; a
-        # violation means the per-power rank thresholds disagree
-        if any(ge[p] > ge[p - 1] for p in range(1, m)) or ge[0] <= 0:
-            raise IllConditionedError(
-                f"inconsistent rank sequence at eigenvalue {z}: nullities {nullities}"
-            )
-        sizes: list[int] = []
-        for p in range(m, 0, -1):
-            count = ge[p - 1] - (ge[p] if p < m else 0)
-            sizes.extend([p] * count)
-        if sum(sizes) != m or any(s <= 0 for s in sizes):
+        ge = [nullities[p] - nullities[p - 1] for p in range(1, m + 1)] + [0]
+        sizes = [p for p in range(m, 0, -1) for _ in range(ge[p - 1] - ge[p])]
+        # the count of blocks of size >= p can only decrease with p, and the
+        # sizes add up to m; a violation means the per-power ranks disagree
+        if any(ge[p] > ge[p - 1] for p in range(1, m)) or ge[0] <= 0 or sum(sizes) != m:
             raise IllConditionedError(
                 f"inconsistent rank sequence at eigenvalue {z}: nullities {nullities}"
             )
@@ -345,9 +345,12 @@ def poly_in(coeffs: object, A: object) -> np.ndarray:
     cs = list(np.asarray(coeffs, dtype=float).ravel())
     if len(cs) > B.shape[0] - 1:
         raise ValueError(f"{len(cs)} coefficients exceed dim-1 = {B.shape[0] - 1}")
-    out = np.zeros_like(B)
-    power = np.eye(B.shape[0])
+    return _poly_in(cs, B)
+
+
+def _poly_in(cs: list[float], B: np.ndarray) -> np.ndarray:
+    out, power = np.zeros_like(B), None
     for c in cs:
-        power = power @ B
+        power = B if power is None else power @ B
         out += c * power
     return out

@@ -126,3 +126,73 @@ def assert_embeds(Q: np.ndarray, M: np.ndarray) -> None:
     assert off.min() >= -1e-10
     assert np.abs(Q.sum(axis=1)).max() <= 1e-10
     assert np.abs(scipy.linalg.expm(Q) - M).max() <= 1e-8
+
+
+def reference_consolidate_multiples(raw, coeffs, radius, A, tol):
+    """The root consolidation of ``kernel._consolidate_multiples`` as a plain
+    loop over every multiplicity m (4, 3, 2), without its early return when
+    no two roots lie within the widest radius; the same arithmetic, so its
+    roots must match the kernel's bit for bit.  Radii as in the kernel."""
+    radii = {2: 5e-7, 3: 5e-5, 4: 5e-4}
+    d = len(coeffs)
+    scale = max(1.0, radius)
+    ascending = [complex(c) for c in coeffs] + [1.0 + 0.0j]
+    value_floor = 1e-13 * max(1.0, float(np.abs(coeffs).max())) * scale**d
+
+    def evaluate(poly, z):
+        acc = 0.0 + 0.0j
+        for c in reversed(poly):
+            acc = acc * z + c
+        return acc
+
+    def derivative(poly):
+        return [k * poly[k] for k in range(1, len(poly))]
+
+    def groups(roots, threshold):
+        # union-find over the pairs within threshold, groups in first-member order
+        parent = list(range(len(roots)))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i, j in itertools.combinations(range(len(roots)), 2):
+            if abs(roots[i] - roots[j]) <= threshold:
+                parent[find(i)] = find(j)
+        out = {}
+        for i, z in enumerate(roots):
+            out.setdefault(find(i), []).append(z)
+        return list(out.values())
+
+    out = list(raw)
+    for m in (4, 3, 2):
+        if m > d:
+            continue
+        loose = radii[m] * scale
+        regrouped = []
+        for group in groups(out, loose):
+            if len(group) != m:
+                regrouped.extend(group)
+                continue
+            mean = sum(group) / m
+            poly = ascending
+            for _ in range(m - 1):
+                poly = derivative(poly)
+            dpoly = derivative(poly)
+            u = mean
+            for _ in range(12):
+                dv = evaluate(dpoly, u)
+                if dv == 0:
+                    break
+                step = evaluate(poly, u) / dv
+                u = u - step
+                if abs(step) < 1e-16 * max(1.0, abs(u)):
+                    break
+            ok = abs(u - mean) <= loose and abs(evaluate(ascending, u)) <= value_floor
+            if ok:
+                sv = np.linalg.svd(A.astype(complex) - u * np.eye(d), compute_uv=False)
+                ok = sv[-1] <= 10.0 * tol.rank * max(sv[0], 1.0)
+            regrouped.extend([u] * m if ok else group)
+        out = regrouped
+    return out

@@ -255,6 +255,39 @@ class TestSingleAnalysisPass:
             assert calls == {"eigenvalues": n, "jordan_structure": n, "det": 1}, (M, res.reason)
         assert Reason.DET_NONPOSITIVE in reasons and None in reasons
 
+    def test_one_validation_per_public_stage(self, monkeypatch):
+        # decide validates its input once (as_matrix and the Markov test);
+        # after that only the stages it reaches by their public names
+        # validate their own argument again: the Jordan analysis, the
+        # spectrum, and the certificate's generator test and exponential
+        stages = ("jordan_structure", "eigenvalues", "is_generator", "mat_exp")
+        calls = dict.fromkeys(("as_matrix", "is_markov", "poly_in", *stages), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            fn = getattr(kernel_mod, name)
+            for mod in (kernel_mod, classify_mod, embed_mod):
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted(name, fn))
+
+        analysed = 0
+        for M in analysis_corpus():
+            calls.update(dict.fromkeys(calls, 0))
+            res = decide(M)
+            if res.reason in ENTRY_ONLY:
+                assert calls["as_matrix"] == 1, (M, calls)
+            else:
+                analysed += 1
+                assert calls["as_matrix"] <= 1 + sum(calls[s] for s in stages), (M, calls)
+            # the Markov test and the polynomial run on validated arrays
+            assert calls["is_markov"] == calls["poly_in"] == 0, (M, calls)
+        assert analysed > 0
+
     def test_case_and_report_match_the_public_forms(self):
         # case is None exactly for the entry-only rejections and for a
         # failed analysis (ILL_CONDITIONED); otherwise it is classify's tag

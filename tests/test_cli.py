@@ -229,6 +229,15 @@ class TestInProcessEntry:
         assert main(["embed", "--tol-residual", "1e-6", str(path)]) == 0
         capsys.readouterr()
 
+    def test_non_finite_tolerance_exit_64(self, capsys, tmp_path):
+        # NaN and inf are not tolerances: with --tol-nonneg nan every sign
+        # test fails, and --tol-residual inf would certify Q = 0 for any M
+        path = tmp_path / "m.json"
+        path.write_text(matrix_doc([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]))
+        for flag, value in (("--tol-nonneg", "nan"), ("--tol-residual", "inf")):
+            assert main(["embed", flag, value, str(path)]) == 64
+            assert "finite" in capsys.readouterr().err
+
     def test_table_output(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(matrix_doc([[0.7, 0.3], [0.2, 0.8]]))

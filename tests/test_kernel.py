@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 
@@ -19,7 +20,9 @@ from markovembed import (
 )
 
 from conftest import random_generator, random_markov
-from oracles import match_spectra, qr_eigenvalues, series_log
+from oracles import match_spectra, qr_eigenvalues, reference_consolidate_multiples, series_log
+
+kernel_mod = importlib.import_module("markovembed.kernel")
 
 
 class TestValidation:
@@ -34,6 +37,12 @@ class TestValidation:
     def test_tolerances_positive(self):
         with pytest.raises(ValueError):
             Tolerances(nonneg=0.0)
+        # NaN passes a "<= 0" test, and an infinite residual would certify the
+        # zero generator for every Markov matrix
+        for bad in (math.nan, math.inf, -math.inf):
+            for name in ("spec_cluster", "nonneg", "rowsum", "residual", "rank"):
+                with pytest.raises(ValueError):
+                    Tolerances(**{name: bad})
 
 
 class TestEigenvalues:
@@ -101,6 +110,67 @@ class TestEigenvalues:
         M[2:, 2:] = M2
         spec = eigenvalues(M)
         assert sorted(m for _, m in spec.roots) == [2, 2]
+
+
+def with_spectrum(roots, rng, jordan=False):
+    """A real matrix V J V^-1 with the given real roots on J's diagonal; J
+    has ones on its superdiagonal where ``jordan`` (one Jordan chain)."""
+    d = len(roots)
+    J = np.diag(np.asarray(roots, dtype=float)) + (np.eye(d, k=1) if jordan else 0.0)
+    V = np.eye(d) + rng.uniform(-0.3, 0.3, (d, d))
+    return V @ J @ np.linalg.inv(V)
+
+
+def consolidation_corpus(seed=20):
+    """Cubics (3x3) and quartics (4x4) whose root gaps straddle each
+    consolidation radius (0.5x, 1x and 2x, scaled by the spectral radius
+    as the kernel scales them), and true multiple roots, whose computed
+    roots the consolidation repairs, and well separated roots."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for rho in (0.6, 3.0):
+        out += [with_spectrum(rho * np.linspace(-1.0, 1.0, d), rng) for d in (3, 4)]
+        for m, radius in ((2, 5e-7), (3, 5e-5), (4, 5e-4)):
+            for factor in (0.5, 1.0, 2.0):
+                gap = factor * radius * max(1.0, rho)
+                for d in {max(m, 3), 4}:
+                    r = rho * float(rng.choice([-1.0, 1.0]))
+                    cluster = [r - gap * i for i in range(m)]
+                    rest = [float(v) for v in rng.uniform(-0.4, 0.4, d - m) * rho]
+                    out.append(with_spectrum(cluster + rest, rng))
+        for m in (2, 3, 4):
+            for d in {max(m, 3), 4}:
+                rest = [float(v) for v in rng.uniform(-0.4, 0.4, d - m) * rho]
+                for jordan in (False, True):
+                    out.append(with_spectrum([0.9 * rho] * m + rest, rng, jordan))
+    return out
+
+
+class TestConsolidationShortcut:
+    def test_spectrum_matches_the_reference_loop(self, monkeypatch):
+        # _consolidate_multiples returns its input at once when no two roots
+        # lie within the widest radius; every spectrum must equal the one the
+        # full loop gives, bit for bit
+        def bits(spec):
+            return [(z.real.hex(), z.imag.hex(), m) for z, m in spec.roots]
+
+        moved, skipped = 0, 0
+
+        def reference(raw, coeffs, radius, A, tol):
+            nonlocal moved, skipped
+            out = reference_consolidate_multiples(raw, coeffs, radius, A, tol)
+            moved += out != list(raw)
+            widest = {2: 5e-7, 3: 5e-5, 4: 5e-4}[len(coeffs)] * max(1.0, radius)
+            skipped += all(abs(z - w) > widest for i, z in enumerate(raw) for w in raw[:i])
+            return out
+
+        for A in consolidation_corpus():
+            got = bits(eigenvalues(A))
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel_mod, "_consolidate_multiples", reference)
+                assert got == bits(eigenvalues(A)), A
+        # the corpus reaches both the early return and a consolidation
+        assert moved >= 5 and skipped >= 5, (moved, skipped)
 
 
 class TestJordan:
