@@ -11,6 +11,8 @@ pass is needed downstream.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -22,17 +24,20 @@ def char_poly(M: np.ndarray) -> np.ndarray:
     tr(M^k) via Newton's identities (no eigenvalue solver involved).
     """
     d = M.shape[0]
-    power, p = M, [float(M.trace())]
+    # each trace adds left to right, as ndarray.trace does (``sum`` compensates
+    # from Python 3.12 on)
+    power, p = M, [reduce(add, M.diagonal().tolist())]
     for _ in range(d - 1):
         power = power @ M
-        p.append(float(power.trace()))
+        p.append(reduce(add, power.diagonal().tolist()))
     e = [1.0]
     for k in range(1, d + 1):
-        s = sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1))
+        s = 0.0
+        for i in range(1, k + 1):
+            s += (e[k - i] if i % 2 else -e[k - i]) * p[i - 1]
         e.append(s / k)
     # x^d - e1 x^{d-1} + e2 x^{d-2} - ...
-    coeffs = [(-1) ** (d - k) * e[d - k] for k in range(d)]
-    return np.asarray(coeffs, dtype=float)
+    return np.asarray([-e[d - k] if (d - k) % 2 else e[d - k] for k in range(d)])
 
 
 def solve_quadratic(b: float, c: float) -> list[complex]:

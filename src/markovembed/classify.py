@@ -134,12 +134,11 @@ _BY_SIGNATURE = {
     (units, tuple((kind, sizes) for _name, kind, sizes in named)): (pattern, named)
     for pattern, (units, named) in _CASES.items()
 }
-
-
-def _kind(z: complex, sizes: tuple[int, ...]) -> str:
-    if z.imag > 0.0:
-        return "c"
-    return "r" if sizes != (1, 1) else "+" if z.real >= 0.0 else "-"
+# each pattern's named eigenvalues, in row order: name -> (kind, block sizes)
+_NAMED = {
+    pattern: {name: (kind, sizes) for name, kind, sizes in named}
+    for pattern, (_units, named) in _CASES.items()
+}
 
 
 def _case_tag(js: JordanStructure) -> CaseTag:
@@ -150,7 +149,9 @@ def _case_tag(js: JordanStructure) -> CaseTag:
         if z == 1.0:
             units = sizes
         elif z.imag >= 0.0:
-            members.append((sum(sizes), sizes, _kind(z, sizes), -z.real, z))
+            sign = "+" if z.real >= 0.0 else "-"
+            kind = "c" if z.imag > 0.0 else "r" if sizes != (1, 1) else sign
+            members.append((sum(sizes), sizes, kind, -z.real, z))
     members.sort(key=lambda m: m[:4])
     row = _BY_SIGNATURE.get((units, tuple((m[2], m[1]) for m in members)))
     if row is None:

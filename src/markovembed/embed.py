@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .classify import _CASES, CaseTag, Pattern, analyse, entry_screen, spectral_screen
+from .classify import _NAMED, CaseTag, Pattern, analyse, entry_screen, spectral_screen
 from .errors import (
     ClassificationError,
     DegenerateDenominatorError,
@@ -184,7 +184,7 @@ def smt_coeffs(
     of each other.
     """
     eig = case.eigen if eigen_data is None else eigen_data
-    row = {name: (kind, sizes) for name, kind, sizes in _CASES[case.pattern][1]}
+    row = _NAMED[case.pattern]
     # nodes lambda_i (each repeated as often as its index) with log's Taylor coefficients;
     # lambda_i - lambda_j is exact where (lambda_i - 1) - (lambda_j - 1) rounds
     nodes, f = [1.0], [[0.0]]
@@ -465,8 +465,7 @@ def embed_d2(M: object, tol: Tolerances = DEFAULT_TOL) -> EmbeddingResult:
 
 def _kendall(A: np.ndarray, tag: CaseTag | None, tol: Tolerances) -> EmbeddingResult:
     """embed_d2 on a validated 2x2 array, its results tagged with ``tag``."""
-    a, b = float(A[0, 1]), float(A[1, 0])
-    s = a + b
+    s = float(A[0, 1]) + float(A[1, 0])
     if s >= 1.0:
         return _not_embeddable(Reason.DET_NONPOSITIVE, tag)
     if s <= 0.0:
@@ -498,7 +497,7 @@ def uniqueness_certificates(M: object, tol: Tolerances = DEFAULT_TOL) -> Uniquen
 
 def _lams(tag: CaseTag) -> list[float]:
     """The tag's real eigenvalues, in the order of its case-table row."""
-    return [tag.eigen[name].real for name, kind, _ in _CASES[tag.pattern][1] if kind != "c"]
+    return [tag.eigen[name].real for name, (kind, _) in _NAMED[tag.pattern].items() if kind != "c"]
 
 
 def _rotation_branch_range(
@@ -695,31 +694,37 @@ def decide(
     """Full embeddability decision for a Markov matrix of dimension 2-4.
 
     Validates the input and takes the zero generator within the residual
-    tolerance of the identity.  For d >= 3 it screens the entries first
-    (det > 0, a positive diagonal, a transitive sign pattern; these
-    rejections carry case=None, and classify(M) gives the tag), then
-    analyses the matrix once (spectrum, Jordan structure, case tag),
-    screens that analysis for the unit circle and Culver's condition and
-    runs the case decider that the decision table holds for its pattern;
-    d=2 takes embed_d2's exact rule.  Numerical failures (ill-conditioned
-    Jordan decisions, inconclusive searches, boundary-ambiguous
-    eigenvalues) surface as Undecided with a reason, never as NotEmbeddable.
+    tolerance of the identity.  d=2 takes embed_d2's exact rule, labeled
+    from its spectrum {1, m00 - m10}, which it analyses only when m00 - m10
+    lies in the clustering band around 1.  For d >= 3 it screens the entries
+    first (det > 0, a positive diagonal, a transitive sign pattern; these
+    rejections carry case=None, and classify(M) gives the tag), analyses
+    the matrix once (spectrum, Jordan structure, case tag), screens that for
+    the unit circle and Culver's condition and runs the case decider that
+    the decision table holds for its pattern.  Numerical failures surface
+    as Undecided with a reason, never as NotEmbeddable.
     """
     A = as_matrix(M)
     if not _is_markov(A, tol):
         raise ValueError("decide expects a Markov matrix")
-    d = A.shape[0]
+    d, rows = len(A), A.tolist()
 
     # inside the residual certificate the zero generator already embeds the
     # matrix; eigenvalue multiplicities are unresolvable this close to the
     # identity, so skip classification entirely
-    gap = float(np.abs(A - np.eye(d)).max())
+    gap = max(abs(x - (i == j)) for i, row in enumerate(rows) for j, x in enumerate(row))
     if gap <= tol.residual:
         tag = CaseTag(d, 1, getattr(Pattern, f"D{d}_IDENTITY"))
         zero = GeneratorCandidate(np.zeros((d, d)), 0, Construction.PRINCIPAL_LOG, gap)
         return _embeddable([zero], Uniqueness.UNIQUE, tag)
 
-    if d >= 3:
+    if d == 2:
+        # the deflated 1x1 block's root, as eigenvalues computes it (+ 0.0 drops
+        # a -0.0); analyse labels it D2_SIMPLE inside its disk and apart from 1
+        lam, radius = rows[0][0] - rows[1][0] + 0.0, 1.0 + 100.0 * tol.spec_cluster
+        if abs(lam) <= radius and abs(1.0 - lam) > tol.spec_cluster * max(1.0, abs(lam)):
+            return _kendall(A, CaseTag(2, 2, Pattern.D2_SIMPLE, {"lambda": lam}), tol)
+    else:
         det, diag_positive, transitive = entry_screen(A, tol)
         if not det > 0.0:
             return _not_embeddable(Reason.DET_NONPOSITIVE)
@@ -736,9 +741,6 @@ def decide(
 
     if tag.pattern in (Pattern.D2_IDENTITY, Pattern.D3_IDENTITY, Pattern.D4_IDENTITY):
         return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
-
-    if d == 2:
-        return _kendall(A, tag, tol)
 
     unit_circle_ok, culver_ok = spectral_screen(analysis.jordan.blocks, det, tol)
     if not unit_circle_ok:

@@ -22,6 +22,7 @@ the same validated interface.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -100,14 +101,14 @@ def as_matrix(M: object) -> np.ndarray:
     d = A.shape[0]
     if d not in (2, 3, 4):
         raise DimensionError(f"dimension {d} not in {{2, 3, 4}}")
-    if not np.isfinite(A).all():
+    if not all(map(math.isfinite, A.ravel().tolist())):
         raise DimensionError("matrix entries must be finite")
     return A
 
 
 def scale_of(M: np.ndarray) -> float:
     """Scale used by residual certificates: max(1, largest |entry|)."""
-    return max(1.0, float(np.abs(M).max()))
+    return max(1.0, max(map(abs, np.ravel(M).tolist())))
 
 
 def is_markov(M: object, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -125,10 +126,9 @@ def _is_markov(A: np.ndarray, tol: Tolerances) -> bool:
 def is_generator(Q: object, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Nonnegative off-diagonal within tolerance and zero row sums."""
     A = as_matrix(Q)
-    d, rows = len(A), A.tolist()
-    return all(rows[i][j] >= -tol.nonneg for i in range(d) for j in range(d) if i != j) and all(
-        abs(s) <= tol.rowsum for s in A.sum(axis=1).tolist()
-    )
+    off = A.ravel().tolist()
+    del off[:: len(A) + 1]  # the diagonal
+    return min(off) >= -tol.nonneg and all(abs(s) <= tol.rowsum for s in A.sum(axis=1).tolist())
 
 
 def _poly_eval(ascending: list[complex], z: complex) -> complex:
@@ -221,16 +221,6 @@ def _consolidate_multiples(
     return out
 
 
-def _cluster_roots(raw: list[complex], threshold: float) -> list[tuple[complex, int]]:
-    clusters: list[tuple[complex, int]] = []
-    for g in _group_by_distance(raw, threshold):
-        mean = sum(g) / len(g)
-        if abs(mean.imag) <= threshold:
-            mean = complex(mean.real, 0.0)
-        clusters.append((mean, len(g)))
-    return clusters
-
-
 def eigenvalues(M: object, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     """Clustered spectrum from the roots of a characteristic polynomial.
 
@@ -246,13 +236,15 @@ def eigenvalues(M: object, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     B = A[:-1, :-1] - A[-1, :-1] if markov else A
     coeffs = _roots.char_poly(B)
     raw = _roots.poly_roots(coeffs.tolist())  # Python floats: cheaper arithmetic
-    radius = max((abs(z) for z in raw), default=1.0)
+    radius = max(map(abs, raw), default=1.0)
     raw = _consolidate_multiples(raw, coeffs, radius, B, tol)
     if markov:
         raw = [1.0 + 0.0j, *raw]
     threshold = tol.spec_cluster * max(1.0, radius)
-
-    clusters = _cluster_roots(raw, threshold)
+    clusters = []
+    for g in _group_by_distance(raw, threshold):
+        mean = sum(g) / len(g)
+        clusters.append((complex(mean.real, 0.0) if abs(mean.imag) <= threshold else mean, len(g)))
 
     if markov:
         # a cluster that merges the deflated 1 with roots of B sits at

@@ -35,7 +35,6 @@ from .kernel import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
-    is_generator,
     is_markov,
     poly_in,
 )
@@ -272,11 +271,11 @@ def embed_tn(p: TNParams, tol: Tolerances = DEFAULT_TOL) -> EmbeddingResult:
     # positive spectrum alone does not force nonnegative rates here: for
     # rate ratios far from 1 the (unique) principal log can leave the
     # generator cone, so the verdict must check it
-    if not is_generator(Q, tol):
-        return _not_embeddable(Reason.LOG_NOT_GENERATOR)
     cand = _candidate(M, Q, 0, Construction.POLY_SMT, tol)
-    if isinstance(cand, Reason):
-        return _undecided(Reason.RESIDUAL_CHECK_FAILED)
+    if cand is Reason.LOG_NOT_GENERATOR:
+        return _not_embeddable(cand)
+    if cand is Reason.RESIDUAL_CHECK_FAILED:
+        return _undecided(cand)
     return _embeddable([cand], Uniqueness.UNIQUE)
 
 
@@ -373,12 +372,11 @@ def embed_k3st(p: K3STParams, tol: Tolerances = DEFAULT_TOL) -> EmbeddingResult:
     qx = 0.25 * (-g1 + g2 - g3)
     qy = 0.25 * (g1 - g2 - g3)
     qz = 0.25 * (-g1 - g2 + g3)
-    Q = k3st_generator(qx, qy, qz)
-    if not is_generator(Q, tol):
-        return _not_embeddable(Reason.LOG_NOT_GENERATOR)
-    cand = _candidate(M, Q, 0, Construction.POLY_SMT, tol)
-    if isinstance(cand, Reason):
-        return _undecided(Reason.RESIDUAL_CHECK_FAILED)
+    cand = _candidate(M, k3st_generator(qx, qy, qz), 0, Construction.POLY_SMT, tol)
+    if cand is Reason.LOG_NOT_GENERATOR:
+        return _not_embeddable(cand)
+    if cand is Reason.RESIDUAL_CHECK_FAILED:
+        return _undecided(cand)
     return _embeddable([cand], Uniqueness.UNIQUE)
 
 

@@ -22,6 +22,7 @@ from markovembed import (
 
 from conftest import random_generator, random_markov
 from oracles import exact_det, violates_transitivity
+from test_embed import d2_corpus
 
 # the package re-exports the function ``classify`` under the module's name
 classify_mod = importlib.import_module("markovembed.classify")
@@ -254,6 +255,36 @@ class TestSingleAnalysisPass:
             n = 0 if res.reason in ENTRY_ONLY else 1
             assert calls == {"eigenvalues": n, "jordan_structure": n, "det": 1}, (M, res.reason)
         assert Reason.DET_NONPOSITIVE in reasons and None in reasons
+
+    def test_two_state_label_needs_no_analysis_outside_the_band(self, monkeypatch):
+        # the spectrum {1, m00 - m10} labels a 2x2 matrix; only a second
+        # eigenvalue inside the clustering band around 1 is analysed
+        calls = {"eigenvalues": 0, "jordan_structure": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in (("eigenvalues", eigenvalues), ("jordan_structure", jordan_structure)):
+            for mod in (kernel_mod, classify_mod, embed_mod):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, fn))
+
+        analysed = 0
+        for M, tol in d2_corpus():
+            calls.update(eigenvalues=0, jordan_structure=0)
+            res = decide(M, tol)
+            lam = M[0, 0] - M[1, 0]
+            inside = abs(1.0 - lam) <= tol.spec_cluster * max(1.0, abs(lam))
+            if np.abs(M - np.eye(2)).max() <= tol.residual:
+                n = 0  # the zero generator within the residual tolerance
+            else:
+                n = 1 if inside or abs(lam) > 1.0 + 100.0 * tol.spec_cluster else 0
+            assert calls == {"eigenvalues": n, "jordan_structure": n}, (M, tol, res.reason)
+            analysed += n
+        assert analysed > 0
 
     def test_one_validation_per_public_stage(self, monkeypatch):
         # decide validates its input once (as_matrix and the Markov test);

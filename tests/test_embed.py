@@ -9,6 +9,7 @@ import scipy.linalg
 
 from markovembed import (
     CaseTag,
+    ClassificationError,
     Construction,
     DegenerateDenominatorError,
     IllConditionedError,
@@ -90,6 +91,71 @@ class TestD2:
         res = embed_d2(np.eye(2))
         assert res.verdict is Verdict.EMBEDDABLE
         assert np.abs(res.generators[0].matrix).max() == 0.0
+
+    def test_decide_labels_and_decides_as_the_analysis_and_kendall(self):
+        # decide labels most 2x2 inputs from their entries; the label must be
+        # classify's to the bit, and the decision embed_d2's
+        cases = collections.Counter()
+        for M, tol in d2_corpus():
+            res = decide(M, tol)
+            if np.abs(M - np.eye(2)).max() <= tol.residual:
+                assert res.case.pattern is Pattern.D2_IDENTITY and res.verdict is Verdict.EMBEDDABLE
+                cases["identity"] += 1
+                continue
+            try:
+                tag = classify(M, tol)
+            except (IllConditionedError, ClassificationError):
+                assert (res.verdict, res.reason, res.case) == (
+                    Verdict.UNDECIDED, Reason.ILL_CONDITIONED, None
+                ), M
+                cases["ill-conditioned"] += 1
+                continue
+            # the analysis gives D2_IDENTITY only for M = I, which the
+            # identity shortcut has taken
+            assert res.case == tag and tag.pattern is Pattern.D2_SIMPLE, (M, tol)
+            assert res.case.eigen["lambda"].hex() == tag.eigen["lambda"].hex(), M
+            ref = embed_d2(M, tol)
+            assert (res.verdict, res.reason, res.uniqueness) == (
+                ref.verdict, ref.reason, ref.uniqueness
+            ), M
+            assert [(g.matrix.tobytes(), g.residual) for g in res.generators] == [
+                (g.matrix.tobytes(), g.residual) for g in ref.generators
+            ], M
+            cases[res.verdict] += 1
+        assert set(cases) == {
+            "identity", "ill-conditioned", Verdict.EMBEDDABLE, Verdict.NOT_EMBEDDABLE
+        }, cases
+
+
+def d2_corpus(seed=23):
+    """Seeded 2x2 Markov matrices [[1 - a, a], [b, 1 - b]], each with a
+    tolerance policy: a + b = 0 and >= 1, a zero rate, rates of 1e-17 and
+    1e-300, 1 - lam = a + b on either side of the clustering band (with a
+    residual tolerance below it, so that the band is analysed), lam just
+    past -1, and policies with a wide band and a narrow one."""
+    rng = np.random.default_rng(seed)
+    tight = Tolerances(residual=1e-12)
+    wide = Tolerances(spec_cluster=0.3)
+    out = [(kendall_block(a, b), DEFAULT_TOL) for a, b in [
+        (0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (1.0, 0.0), (0.6, 0.7), (0.0, 0.3), (0.3, 0.0),
+        (1e-17, 1e-17), (1e-17, 0.3), (1e-300, 1e-300), (0.0, 1e-300), (1e-300, 0.4),
+    ]]
+    for _ in range(40):
+        a, b = (float(v) for v in rng.uniform(0.0, 1.0, 2))
+        out += [(kendall_block(a, b), DEFAULT_TOL), (kendall_block(a, b), wide)]
+        one_rate = kendall_block(a, 0.0) if rng.uniform() < 0.5 else kendall_block(0.0, b)
+        out.append((one_rate, DEFAULT_TOL))
+    for tol in (tight, DEFAULT_TOL):
+        for k in range(-4, 5):
+            s = tol.spec_cluster * (1.0 + k * 2.0**-45)
+            for share in (0.0, 0.5, 1.0):
+                out.append((kendall_block(share * s, s - share * s), tol))
+    # entries past 0 and 1 within the Markov tolerance: lam = -1 - 8e-11, inside
+    # the analysis's disk of radius 1 + 100 spec_cluster, and outside it
+    M = np.array([[-4e-11, 1.0 + 4e-11], [1.0 + 4e-11, -4e-11]])
+    out += [(M, DEFAULT_TOL), (M, Tolerances(spec_cluster=1e-13))]
+    # lam = -0.0 - 0.0, which the analysis reads as 0.0
+    return out + [(np.array([[-0.0, 1.0], [0.0, 1.0]]), DEFAULT_TOL)]
 
 
 CONFLUENT_PATTERNS = {

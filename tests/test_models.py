@@ -250,6 +250,44 @@ class TestTN:
                 continue
             assert a.verdict is b.verdict
 
+    # Recognised from exp(Q) of TN generators (default_rng(11), largest rate
+    # U(0.05, 3)): eigenvalue gaps of 1e-4 to 1e-3 push the logarithm's
+    # coefficients to 1e6, so its row sums round to about 3e-10, beyond
+    # tol.rowsum, although its smallest rate is 0.37 or more
+    LARGE_COEFFICIENT_TN = [
+        (0.2480155196383173, 0.40663549709222013, 0.14282174845301446,
+         0.20104877972347523, 0.9981102219696453, 1.0039540709497934),
+        (0.32676867888780675, 0.33440221952967597, 0.0605371457054792,
+         0.27604548241989635, 1.0028331823772647, 1.0034617547101365),
+        (0.30513930442090176, 0.19212993418447674, 0.17694849751290087,
+         0.3255591279685334, 0.9998020211758298, 0.9928795916018222),
+        (0.2930939847306605, 0.2666527240799921, 0.24121271361343022,
+         0.1978303093788919, 1.0016733923972188, 1.0014617185892027),
+        (0.3268333268162409, 0.2802029370450476, 0.13547609852501868,
+         0.2567203493849646, 0.9979388501910054, 1.0016169024411583),
+        (0.35621205362267117, 0.14212131525522148, 0.2374897135981076,
+         0.26392081502003617, 0.9956670627959899, 1.000372866476849),
+        (0.21423618477261505, 0.12404925772992598, 0.27568159587829383,
+         0.38534452742303305, 1.0014921889008774, 0.996488633284131),
+        (0.2202952022837925, 0.2824690755331814, 0.23803934506856936,
+         0.2591097864091845, 0.9997401385120864, 0.9966720423715769),
+        (0.08339273386509559, 0.06312272602804636, 0.4538490578819575,
+         0.3981778820284444, 1.0096122966760566, 0.9989274874055457),
+        (0.21753913663043223, 0.22091388554485383, 0.2526561999746326,
+         0.30736033415821307, 1.0032570149576796, 0.9860233267786287),
+        (0.2517441158907753, 0.26009993796375386, 0.3269136684051574,
+         0.15939278545687385, 1.0018392606488806, 1.0014269938008034),
+    ]
+
+    @pytest.mark.parametrize("params", LARGE_COEFFICIENT_TN)
+    def test_large_coefficient_log_agrees_with_general_engine(self, params):
+        # the row sums are rounding, not evidence against the generator:
+        # embed_tn re-verifies it the way decide does
+        p = TNParams(*params)
+        a, b = embed_tn(p), decide(tn_matrix(p))
+        assert (a.verdict, a.reason) == (b.verdict, b.reason) == (Verdict.EMBEDDABLE, None)
+        assert is_generator(a.generators[0].matrix)
+
 
 class TestK3ST:
     def test_spectrum_closed_form(self, rng):
