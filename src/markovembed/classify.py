@@ -5,12 +5,13 @@ that holds its Jordan signature: the block sizes of the eigenvalue 1 and
 the kind (real or complex) and block sizes of each other eigenvalue.  The
 patterns drive the decision engine's dispatch, and the same row gives the
 engine each named eigenvalue's index and kind.  The necessary conditions
-screen in two parts: ``entry_screen`` reads the entries alone (det,
-diagonal, sign pattern) before any spectral work; ``analyse`` is the one
-analysis pass (a single ``jordan_structure``, which computes the spectrum
-once, and the case lookup on it), and ``spectral_screen`` reads its
-eigenvalues and block sizes.  ``classify`` and ``necessary_checks`` are
-their validating public forms.
+screen in two parts: ``entry_screen`` reads the entries alone (det, and
+``sign_screen``'s diagonal and sign pattern, which ``decide`` forms only
+for det > 0) before any spectral work; ``analyse`` is the one analysis
+pass (a single ``jordan_structure``, which computes the spectrum once,
+and the case lookup on it), and ``spectral_screen`` reads its eigenvalues
+and block sizes.  ``classify`` and ``necessary_checks`` are their
+validating public forms.
 """
 
 from __future__ import annotations
@@ -83,13 +84,7 @@ class NecessaryReport:
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.diag_positive
-            and self.det_positive
-            and self.unit_circle_ok
-            and self.culver_ok
-            and self.transitivity_ok
-        )
+        return all(getattr(self, f.name) for f in dataclasses.fields(self))
 
 
 # The case table: each pattern's Jordan signature.  A row holds the block
@@ -203,16 +198,17 @@ def classify(M: object, tol: Tolerances = DEFAULT_TOL) -> CaseTag:
     return analyse(A, tol).tag
 
 
-def entry_screen(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[float, bool, bool]:
-    """det(A), a positive diagonal and a transitive sign pattern, from the
-    entries alone.  P = (A > tol.nonneg) is transitive (m_ik > 0 and
-    m_kj > 0 imply m_ij > 0) when the boolean product P P lies inside P."""
+def sign_screen(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, bool]:
+    """A positive diagonal and a transitive sign pattern.  P = (A > tol.nonneg)
+    is transitive (m_ik > 0 and m_kj > 0 imply m_ij > 0) when the boolean
+    product P P lies inside P."""
     positive = A > tol.nonneg
-    return (
-        float(np.linalg.det(A)),
-        bool(positive.diagonal().all()),
-        not (positive @ positive > positive).any(),
-    )
+    return bool(positive.diagonal().all()), not (positive @ positive > positive).any()
+
+
+def entry_screen(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[float, bool, bool]:
+    """det(A) and the two flags of :func:`sign_screen`, from the entries alone."""
+    return (float(np.linalg.det(A)), *sign_screen(A, tol))
 
 
 def spectral_screen(blocks, det: float, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, bool]:

@@ -9,7 +9,9 @@ logarithm R_0 + k D has rates affine in k), and an exact feasibility
 search over the real square roots of -I (``hyperbola_search``) for the
 cases with a repeated eigenvalue pair, d=3 equal-input matrices with a
 negative double eigenvalue included: it evaluates a finite set of
-candidate points that holds a feasible point whenever one exists.
+candidate points that holds a feasible point whenever one exists.  Both
+pair constructions try only branches in the generator sector, one rule
+(``_sector``); a conjugate pair with none is rejected before any logarithm.
 
 Every candidate that is reported has been re-verified: it passes
 ``is_generator`` and the residual certificate ||exp(Q) - M|| <= residual
@@ -29,7 +31,7 @@ import math
 
 import numpy as np
 
-from .classify import _NAMED, CaseTag, Pattern, analyse, entry_screen, spectral_screen
+from .classify import _NAMED, CaseTag, Pattern, analyse, sign_screen, spectral_screen
 from .errors import (
     ClassificationError,
     DegenerateDenominatorError,
@@ -281,10 +283,6 @@ def _nullspace(B: np.ndarray, tol: Tolerances) -> np.ndarray:
     return ns
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    return v if v[int(np.argmax(np.abs(v)))] >= 0 else -v
-
-
 def _pair_decomposition(
     M: np.ndarray, fixed_eigs: list[float], pair_value: float, tol: Tolerances
 ) -> np.ndarray:
@@ -308,7 +306,8 @@ def _pair_decomposition(
                 ns = ns - np.outer(u, u @ ns)
                 q, r = np.linalg.qr(ns)
                 ns = q[:, np.abs(np.diag(r)) > 1e-8]
-            pools[lam] = [_fix_sign(ns[:, j]) for j in range(ns.shape[1])]
+            # each direction signed so that its entry of largest modulus is >= 0
+            pools[lam] = [v if v[int(np.argmax(np.abs(v)))] >= 0 else -v for v in ns.T]
         return pools[lam]
 
     if len(pool(pair_value)) < 2:
@@ -487,10 +486,8 @@ def uniqueness_certificates(M: object, tol: Tolerances = DEFAULT_TOL) -> Uniquen
     """
     A = as_matrix(M)
     diag = np.diag(A)
-    if float(diag.min()) > 0.5:
-        return Uniqueness.UNIQUE
-    det = float(np.linalg.det(A))
-    if det * float(diag.min()) > math.exp(-math.pi) * float(np.prod(diag)):
+    low = float(diag.min())
+    if low > 0.5 or float(np.linalg.det(A)) * low > math.exp(-math.pi) * float(np.prod(diag)):
         return Uniqueness.UNIQUE
     return Uniqueness.UNKNOWN
 
@@ -500,18 +497,19 @@ def _lams(tag: CaseTag) -> list[float]:
     return [tag.eigen[name].real for name, (kind, _) in _NAMED[tag.pattern].items() if kind != "c"]
 
 
-def _rotation_branch_range(
-    d: int, log_modulus: float, odd: bool, slack: float = 1e-9
-) -> list[int]:
-    """Branch indices k whose rotation angle fits the generator spectrum.
-
-    Angles are 2k*pi (odd=False) or (2k+1)*pi (odd=True).  Every eigenvalue
-    z of a d x d generator has |Im z| <= cot(pi/d) |Re z| (Runnenberg), so
-    an angle is admissible while |angle| <= cot(pi/d) |log_modulus|
-    (+ slack for boundary cases); cot(pi/3) = 1/sqrt(3), cot(pi/4) = 1.
-    """
+def _sector(d: int, log_modulus: float) -> float:
+    """The largest |angle| of an eigenvalue log_modulus + i angle of a d x d
+    generator, the one sector rule: every such eigenvalue z has |Im z| <=
+    cot(pi/d) |Re z| (Runnenberg); cot(pi/3) = 1/sqrt(3), cot(pi/4) = 1,
+    with slack for boundary cases."""
     cot = 1.0 / math.sqrt(3.0) if d == 3 else 1.0
-    limit = cot * abs(log_modulus) * (1.0 + 1e-12) + slack
+    return cot * abs(log_modulus) * (1.0 + 1e-12) + 1e-9
+
+
+def _rotation_branch_range(d: int, log_modulus: float, odd: bool) -> list[int]:
+    """Branch indices k whose rotation angle, 2k*pi (odd=False) or (2k+1)*pi
+    (odd=True), lies in the generator sector: |angle| <= _sector(d, log_modulus)."""
+    limit = _sector(d, log_modulus)
     ks, n = [], 0 if odd else 1
     while (2 * n + odd) * math.pi <= limit:
         ks.extend([n, -n - odd])
@@ -634,24 +632,26 @@ def _complex_branches(
     D4_SIMPLE_COMPLEX).  The spectral-mapping coefficients are affine in
     the branch k, so the branch-k logarithm is R_0 + k D with
     D = poly_in(c(1) - c(0), A - I), and the generator branches are the
-    integers of one interval; each is re-verified."""
+    integers of one interval; each is re-verified.  A pair none of whose
+    branches log|theta| + i(arg theta + 2 pi k) lies in the generator
+    sector (``_sector``, the rule the rotations of repeated pairs obey too)
+    is rejected before any logarithm is built."""
     # the unit-circle screen has already required |theta| < 1 - tol.nonneg
-    if abs(complex(tag.eigen.get("theta", tag.eigen.get("lambda")))) <= tol.nonneg:
+    theta = tag.eigen.get("theta", tag.eigen.get("lambda"))
+    if abs(theta) <= tol.nonneg:
         return _not_embeddable(Reason.DET_NONPOSITIVE, tag)
+    # |arg theta| <= pi is the smallest |arg theta + 2 pi k|
+    if abs(cmath.phase(theta)) > _sector(len(A), math.log(abs(theta))):
+        return _not_embeddable(Reason.NO_BRANCH_FEASIBLE, tag)
 
     c0, c1 = smt_coeffs(tag, k=0, tol=tol), smt_coeffs(tag, k=1, tol=tol)
     Ash = A - np.eye(A.shape[0])
     R0, D = _poly_in(c0, Ash), _poly_in([b - a for a, b in zip(c0, c1)], Ash)
-    gens = []
-    uncertain = False
-    for k in _branch_interval(R0, D, tol):
-        cand = _candidate(A, R0 + k * D, k, Construction.POLY_SMT, tol)
-        if isinstance(cand, GeneratorCandidate):
-            gens.append(cand)
-        else:
-            uncertain = True
+    cands = [_candidate(A, R0 + k * D, k, Construction.POLY_SMT, tol)
+             for k in _branch_interval(R0, D, tol)]
+    gens = [cand for cand in cands if isinstance(cand, GeneratorCandidate)]
     if not gens:
-        if uncertain:
+        if cands:  # a branch in the interval failed its re-verification
             return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
         return _not_embeddable(Reason.NO_BRANCH_FEASIBLE, tag)
     u = Uniqueness.UNIQUE if len(gens) == 1 else Uniqueness.MULTIPLE_KNOWN
@@ -697,12 +697,14 @@ def decide(
     tolerance of the identity.  d=2 takes embed_d2's exact rule, labeled
     from its spectrum {1, m00 - m10}, which it analyses only when m00 - m10
     lies in the clustering band around 1.  For d >= 3 it screens the entries
-    first (det > 0, a positive diagonal, a transitive sign pattern; these
-    rejections carry case=None, and classify(M) gives the tag), analyses
-    the matrix once (spectrum, Jordan structure, case tag), screens that for
-    the unit circle and Culver's condition and runs the case decider that
-    the decision table holds for its pattern.  Numerical failures surface
-    as Undecided with a reason, never as NotEmbeddable.
+    first (det > 0, then a positive diagonal and a transitive sign pattern;
+    these rejections carry case=None, and classify(M) gives the tag),
+    analyses the matrix once (spectrum, Jordan structure, case tag), screens
+    that for the unit circle and Culver's condition and runs the case
+    decider that the decision table holds for its pattern; a conjugate pair
+    outside the generator sector is rejected there before any logarithm is
+    built.  Numerical failures surface as Undecided with a reason, never as
+    NotEmbeddable.
     """
     A = as_matrix(M)
     if not _is_markov(A, tol):
@@ -725,9 +727,10 @@ def decide(
         if abs(lam) <= radius and abs(1.0 - lam) > tol.spec_cluster * max(1.0, abs(lam)):
             return _kendall(A, CaseTag(2, 2, Pattern.D2_SIMPLE, {"lambda": lam}), tol)
     else:
-        det, diag_positive, transitive = entry_screen(A, tol)
+        det = float(np.linalg.det(A))  # a nonpositive det needs no sign pattern
         if not det > 0.0:
             return _not_embeddable(Reason.DET_NONPOSITIVE)
+        diag_positive, transitive = sign_screen(A, tol)
         if not diag_positive:
             return _not_embeddable(Reason.ZERO_DIAGONAL)
         if not transitive:
@@ -738,10 +741,6 @@ def decide(
     except (IllConditionedError, ClassificationError):
         return _undecided(Reason.ILL_CONDITIONED)
     tag = analysis.tag
-
-    if tag.pattern in (Pattern.D2_IDENTITY, Pattern.D3_IDENTITY, Pattern.D4_IDENTITY):
-        return _undecided(Reason.RESIDUAL_CHECK_FAILED, tag)
-
     unit_circle_ok, culver_ok = spectral_screen(analysis.jordan.blocks, det, tol)
     if not unit_circle_ok:
         return _not_embeddable(Reason.UNIT_CIRCLE_EIGENVALUE, tag)

@@ -1,3 +1,5 @@
+import cmath
+import collections
 import importlib
 import itertools
 import math
@@ -319,6 +321,50 @@ class TestSingleAnalysisPass:
             assert calls["is_markov"] == calls["poly_in"] == 0, (M, calls)
         assert analysed > 0
 
+    def test_screens_skip_the_work_they_make_moot(self, monkeypatch):
+        # a nonpositive det rejects before the sign pattern and any spectral
+        # call; a conjugate pair with no branch in the generator sector
+        # rejects after the one analysis, before any logarithm is built,
+        # exponentiated or tested
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        names = ("eigenvalues", "jordan_structure", "sign_screen", "smt_coeffs", "mat_exp",
+                 "is_generator")
+        for mod in (kernel_mod, classify_mod, embed_mod):
+            for name in names:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+
+        rng = np.random.default_rng(43)
+        found = collections.Counter()
+        while min(found[Reason.DET_NONPOSITIVE], found[Reason.NO_BRANCH_FEASIBLE]) < 20:
+            M = random_markov(rng, int(rng.integers(3, 5)))
+            if np.linalg.det(M) > 0.0:
+                tag = classify(M)
+                theta = tag.eigen.get("theta", tag.eigen.get("lambda"))
+                # |Im z| <= cot(pi/d) |Re z| for every z = log|theta| + i(arg theta + 2 pi k)
+                cot = 1.0 / math.tan(math.pi / len(M))
+                if not isinstance(theta, complex) or (
+                    abs(cmath.phase(theta)) <= cot * abs(math.log(abs(theta))) + 1e-6
+                ):
+                    continue
+            calls.clear()
+            res = decide(M)
+            found[res.reason] += 1
+            if res.reason is Reason.DET_NONPOSITIVE:
+                assert calls == {}, (M, calls)
+            else:
+                assert res.reason is Reason.NO_BRANCH_FEASIBLE, (M, res.reason)
+                assert calls == {"eigenvalues": 1, "jordan_structure": 1, "sign_screen": 1}, (
+                    M, calls
+                )
+
     def test_case_and_report_match_the_public_forms(self):
         # case is None exactly for the entry-only rejections and for a
         # failed analysis (ILL_CONDITIONED); otherwise it is classify's tag
@@ -362,6 +408,34 @@ class TestEntryScreens:
             if res.reason is Reason.TRANSITIVITY_VIOLATION:
                 assert violates_transitivity(M, DEFAULT_TOL.nonneg), M
         assert {Reason.DET_NONPOSITIVE, Reason.TRANSITIVITY_VIOLATION} <= seen
+
+    def test_det_rejection_comes_first(self):
+        # a matrix failing the det screen together with the diagonal or the
+        # transitivity screen reports DET_NONPOSITIVE, while necessary_checks
+        # reports every failed flag.  A transitive pattern with an exact zero on
+        # the diagonal is singular (a positive permutation would pass through
+        # that state on a cycle, and transitivity would close the cycle on
+        # it), so a zero diagonal with det < 0 comes with intransitivity
+        rng = np.random.default_rng(17)
+        corpus = [np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])]
+        while len(corpus) < 41:
+            d = int(rng.integers(3, 5))
+            M = random_markov(rng, d) * (rng.uniform(size=(d, d)) < 0.6)
+            if M.sum(axis=1).all() and exact_det(M) < -1e-9:
+                corpus.append(M / M.sum(axis=1, keepdims=True))
+        seen = collections.Counter()
+        for M in corpus:
+            zero_diag = not (np.diag(M) > DEFAULT_TOL.nonneg).all()
+            intransitive = violates_transitivity(M, DEFAULT_TOL.nonneg)
+            if not (zero_diag or intransitive):
+                continue
+            assert decide(M).reason is Reason.DET_NONPOSITIVE, M
+            rep = necessary_checks(M)
+            assert (rep.det_positive, rep.diag_positive, rep.transitivity_ok) == (
+                False, not zero_diag, not intransitive
+            ), M
+            seen[zero_diag, intransitive] += 1
+        assert set(seen) == {(True, False), (False, True), (True, True)}, seen
 
 
 def partitions(n, most=None):

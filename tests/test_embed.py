@@ -1,3 +1,4 @@
+import cmath
 import collections
 import math
 import time
@@ -37,6 +38,7 @@ from markovembed import (
 from markovembed.embed import (
     _branch_interval,
     _pair_decomposition,
+    _sector,
     _sheet_constraints,
 )
 from markovembed.kernel import DEFAULT_TOL, scale_of
@@ -156,6 +158,35 @@ def d2_corpus(seed=23):
     out += [(M, DEFAULT_TOL), (M, Tolerances(spec_cluster=1e-13))]
     # lam = -0.0 - 0.0, which the analysis reads as 0.0
     return out + [(np.array([[-0.0, 1.0], [0.0, 1.0]]), DEFAULT_TOL)]
+
+
+class TestNearIdentity:
+    """Inputs past the residual tolerance of the identity but inside the
+    clustering band around it.  The analysis gives an identity pattern only
+    when rank(M - I) = 0, that is for M = I, which the identity shortcut
+    takes first; every other input must still come back with a result."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_decided_or_undecided_never_raised(self, d):
+        rng = np.random.default_rng(41 + d)
+        tight = Tolerances(residual=1e-12)
+        verdicts = collections.Counter()
+        for tol, scales in ((tight, (3e-10, 1e-9, 1.5e-9)), (DEFAULT_TOL, (3e-8, 1e-7))):
+            for scale in scales:
+                for _ in range(15):
+                    # I + scale Q, exp(scale Q) to first order, with every rate
+                    # in [scale / 2, scale], above the sign tolerance
+                    Q = rng.uniform(0.5, 1.0, (d, d))
+                    np.fill_diagonal(Q, 0.0)
+                    np.fill_diagonal(Q, -Q.sum(axis=1))
+                    M = np.eye(d) + scale * Q
+                    assert np.abs(M - np.eye(d)).max() > tol.residual
+                    res = decide(M, tol)
+                    assert res.verdict is not Verdict.NOT_EMBEDDABLE, (M, res.reason)
+                    assert res.case is None or res.case.pattern.name != f"D{d}_IDENTITY"
+                    verdicts[res.verdict] += 1
+        # inside the band the multiplicities are unresolvable: ILL_CONDITIONED
+        assert verdicts[Verdict.UNDECIDED] > 0, verdicts
 
 
 CONFLUENT_PATTERNS = {
@@ -611,6 +642,27 @@ def complex_corpus(pattern, seed, count=30):
     return out
 
 
+# the rejections made before the case decider runs
+SCREENS = {
+    Reason.DET_NONPOSITIVE, Reason.ZERO_DIAGONAL, Reason.TRANSITIVITY_VIOLATION,
+    Reason.UNIT_CIRCLE_EIGENVALUE, Reason.NEGATIVE_EIGENVALUE_CULVER,
+}
+
+
+def cycle_scan(d):
+    """exp(s C) for the d-cycle generator C, s = 0.5, 0.75, ..., 12.  The
+    pair -1 + exp(+-2 pi i / d) of C lies on the edge of the generator
+    sector |Im z| <= cot(pi/d) |Re z|, and so does its branch of log exp(s C)."""
+    C = np.roll(np.eye(d), 1, axis=1) - np.eye(d)
+    return [(s, mat_exp(s * C)) for s in np.arange(0.5, 12.01, 0.25)]
+
+
+def pair_angles(M, tag):
+    """The pair's principal argument and the sector's largest angle at its modulus."""
+    theta = tag.eigen.get("theta", tag.eigen.get("lambda"))
+    return cmath.phase(theta), _sector(len(M), math.log(abs(theta)))
+
+
 def scan_branches(M, tag, kmax=10):
     """Brute force: the branches |k| <= kmax whose spectral-mapping
     logarithm is a generator passing the residual certificate; none when
@@ -645,14 +697,45 @@ class TestBranchInterval:
 
     @pytest.mark.parametrize("pattern", COMPLEX_PATTERNS, ids=lambda p: p.name)
     def test_branches_match_brute_force_scan(self, pattern):
+        # a pair with no branch in the generator sector is NotEmbeddable,
+        # NO_BRANCH_FEASIBLE unless a screen before the decider fired; every
+        # generator's branch lies in the sector, and so do its eigenvalues
+        # (Runnenberg)
+        cot = 1.0 / math.tan(math.pi / (3 if pattern is Pattern.D3_COMPLEX_PAIR else 4))
         outcomes = collections.Counter()
         for M in complex_corpus(pattern, seed=11):
-            res = decide(M)
+            res, tag = decide(M), classify(M)
             assert res.verdict is not Verdict.UNDECIDED
-            assert {g.branch for g in res.generators} == scan_branches(M, classify(M))
+            assert {g.branch for g in res.generators} == scan_branches(M, tag)
             outcomes[res.reason or len(res.generators)] += 1
+            phase, limit = pair_angles(M, tag)
+            if abs(phase) > limit:
+                assert res.reason in SCREENS | {Reason.NO_BRANCH_FEASIBLE}, M
+                outcomes["sector empty", res.reason] += 1
+            for g in res.generators:
+                assert abs(phase + 2 * math.pi * g.branch) <= limit, (M, g.branch)
+                z = np.linalg.eigvals(g.matrix)
+                assert (np.abs(z.imag) <= cot * np.abs(z.real) + 1e-8).all(), (M, z)
         assert outcomes[Reason.NO_BRANCH_FEASIBLE] > 0
+        assert outcomes["sector empty", Reason.NO_BRANCH_FEASIBLE] > 0
         assert outcomes[2] > 0
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_sector_edge_passes_the_screen(self, d):
+        # the cycle's pair sits on the sector's edge: the screen never fires
+        # on it, and while its principal argument is the generator's own
+        # angle (s sin(2 pi / d) < pi) the principal branch is found
+        for s, M in cycle_scan(d):
+            res = decide(M)
+            if res.case is None or res.case.pattern not in COMPLEX_PATTERNS:
+                continue
+            phase, limit = pair_angles(M, res.case)
+            assert abs(phase) <= limit, s
+            if s * math.sin(2 * math.pi / d) < math.pi - 0.1:
+                assert res.verdict is Verdict.EMBEDDABLE, s
+                assert 0 in {g.branch for g in res.generators}, s
+            for g in res.generators:
+                assert abs(phase + 2 * math.pi * g.branch) <= limit, (s, g.branch)
 
     def test_interval_edges(self):
         R0 = np.array([[-3.0, 1.0, 2.0], [0.5, -0.5, 0.0], [1.0, 1.0, -2.0]])
