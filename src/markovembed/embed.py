@@ -273,16 +273,6 @@ def eq_input_extremal_generators(
 # ---------------------------------------------------------------------------
 
 
-def _nullspace(B: np.ndarray, tol: Tolerances) -> np.ndarray:
-    _u, sv, vh = np.linalg.svd(B)
-    threshold = tol.rank * sv[0] if sv[0] > 0 else np.inf
-    ns = vh[sv < threshold].T
-    if ns.shape[1] == 0:
-        # fall back to the smallest singular direction
-        ns = vh[-1:].T
-    return ns
-
-
 def _pair_decomposition(
     M: np.ndarray, fixed_eigs: list[float], pair_value: float, tol: Tolerances
 ) -> np.ndarray:
@@ -300,7 +290,10 @@ def _pair_decomposition(
 
     def pool(lam: float) -> list[np.ndarray]:
         if lam not in pools:
-            ns = _nullspace(M - lam * np.eye(d), tol)
+            _u, sv, vh = np.linalg.svd(M - lam * np.eye(d))
+            # the null directions, or else the smallest singular one
+            null = sv < (tol.rank * sv[0] if sv[0] > 0 else np.inf)
+            ns = (vh[null] if null.any() else vh[-1:]).T
             if lam == 1.0:
                 u = ones / math.sqrt(d)
                 ns = ns - np.outer(u, u @ ns)
@@ -346,12 +339,14 @@ def _sheet_constraints(
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross products of two (n, 3) arrays."""
-    return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+    """Cross products of two arrays whose first axis is the coordinate."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def _sheet_roots(n1, h1, n2, h2) -> np.ndarray:
-    """Both points of each line {n1 . p = h1, n2 . p = h2} on the sheet.
+def _sheet_roots(n1, h1, n2, h2) -> list[np.ndarray]:
+    """Rows (1, x, y, z) of the point (0, 1, 1) and of both points of each line
+    {n1 . p = h1, n2 . p = h2} on the sheet, per system s of the (3, s, n) normals.
 
     The line is p0 + t u with u the unit direction; yz - x^2 = 1 along it
     is one quadratic in t, solved in the cancellation-free form, so a
@@ -362,17 +357,24 @@ def _sheet_roots(n1, h1, n2, h2) -> np.ndarray:
     which can only weaken an Infeasible verdict.
     """
     d = _cross(n1, n2)
-    dd = (d * d).sum(axis=1)[:, None]
-    p0 = (h1[:, None] * _cross(n2, d) + h2[:, None] * _cross(d, n1)) / dd
+    dd = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+    p0 = (h1 * _cross(n2, d) + h2 * _cross(d, n1)) / dd
     u = d / np.sqrt(dd)
-    qa = u[:, 1] * u[:, 2] - u[:, 0] ** 2
-    qb = p0[:, 1] * u[:, 2] + p0[:, 2] * u[:, 1] - 2.0 * p0[:, 0] * u[:, 0]
-    qc = p0[:, 1] * p0[:, 2] - p0[:, 0] ** 2 - 1.0
+    qa = u[1] * u[2] - u[0] ** 2
+    qb = p0[1] * u[2] + p0[2] * u[1] - 2.0 * p0[0] * u[0]
+    qc = p0[1] * p0[2] - p0[0] ** 2 - 1.0
     q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
-    P = np.concatenate([p0 + (q / qa)[:, None] * u, p0 + (qc / q)[:, None] * u])
-    P = P[(P[:, 1] > 0.0) & (P[:, 2] > 0.0)]
-    P[:, 1:] *= np.sqrt((1.0 + P[:, :1] ** 2) / (P[:, 1:2] * P[:, 2:]))
-    return P[np.isfinite(P).all(axis=1)]
+    P = np.ones((4, q.shape[0], 2 * q.shape[1] + 1))  # (1, x, y, z), system, point
+    P[1:, :, 0] = ((0.0,), (1.0,), (1.0,))
+    P[1:, :, 1:] = np.concatenate([p0 + q / qa * u, p0 + qc / q * u], axis=2)
+    on = (P[2:] > 0.0).all(axis=0)
+    P[2:] *= np.sqrt((1.0 + P[1] ** 2) / (P[2] * P[3]))
+    on &= np.isfinite(P).all(axis=0)
+    return [S[k] for S, k in zip(P.transpose(1, 2, 0), on)]
+
+
+# (bytes of the last search's mirror rows, their candidates), rebound whole; the key fixes the value
+_mirror: tuple[bytes, np.ndarray] = (b"", np.empty((0, 4)))
 
 
 def hyperbola_search(
@@ -404,6 +406,11 @@ def hyperbola_search(
     with one, it is critical for y + z on C_i; with two or more distinct
     planes, it lies on their line (coinciding planes count as one).
 
+    The mirror rows (f, -a, -b, -c), a pair's next branch, have these lines
+    with negated normals; their roots on H negate these lines' roots on
+    y, z < 0, but not to the bit where a sum cancels to +0.  So the mirror's
+    lines are solved in the same pass, and kept for a search on its bytes.
+
     Every constraint is evaluated at every candidate at once, and
     Found        -- the candidate with the most slack violates by at most
                     tol.nonneg; it is returned;
@@ -412,32 +419,30 @@ def hyperbola_search(
                     the candidate's size, so S is empty;
     Inconclusive -- otherwise: the best candidate sits in that band.
     """
-    f, N = rows[:, 0], rows[:, 1:]
-    m = len(f)
-    # the KKT points of y + z on {g_i = 0} and the sheet satisfy
-    # det[(0, 1, 1); n_i; grad(yz - x^2)] = 2 (b_i - c_i) x - a_i y + a_i z = 0;
-    # a normal parallel to (0, 1, 1) makes y + z constant on its conic, and
-    # x = 0 then picks points of it
-    K = np.column_stack([2.0 * (N[:, 1] - N[:, 2]), -N[:, 0], N[:, 0]])
-    K[~K.any(axis=1)] = (1.0, 0.0, 0.0)
-    i, j = np.nonzero(np.arange(m)[:, None] < np.arange(m))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        P = np.vstack(
-            [
-                (0.0, 1.0, 1.0),
-                _sheet_roots(
-                    np.concatenate([N, N[i]]),
-                    -np.concatenate([f, f[i]]),
-                    np.concatenate([K, N[j]]),
-                    -np.concatenate([np.zeros(m), f[j]]),
-                ),
-            ]
-        )
-    Ph = np.column_stack([np.ones(len(P)), P])
+    global _mirror
+    key, Ph = _mirror
+    if key != rows.tobytes():
+        f, N = rows[:, 0], rows[:, 1:].T
+        N = np.stack([N, -N], axis=1)  # (coordinate, system, row)
+        # the KKT points of y + z on {g_i = 0} and the sheet satisfy
+        # det[(0, 1, 1); n_i; grad(yz - x^2)] = 2 (b_i - c_i) x - a_i y + a_i z = 0;
+        # a normal parallel to (0, 1, 1) makes y + z constant on its conic, and
+        # x = 0 then picks points of it
+        K = np.array([2.0 * (N[1] - N[2]), -N[0], N[0]])
+        K[:, ~K.any(axis=0)] = ((1.0,), (0.0,), (0.0,))
+        i, j = np.nonzero(np.arange(len(f))[:, None] < np.arange(len(f)))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            Ph, mirrored = _sheet_roots(
+                np.concatenate([N, N[..., i]], axis=2),
+                -np.concatenate([f, f[i]]),
+                np.concatenate([K, N[..., j]], axis=2),
+                -np.concatenate([np.zeros(len(f)), f[j]]),
+            )
+        _mirror = ((rows * (1.0, -1.0, -1.0, -1.0)).tobytes(), mirrored)
     violation = -(Ph @ rows.T).min(axis=1)
     best = int(np.argmin(violation))
     if violation[best] <= tol.nonneg:
-        return SearchStatus.FOUND, HyperbolaPoint(*(float(v) for v in P[best]))
+        return SearchStatus.FOUND, HyperbolaPoint(*(float(v) for v in Ph[best, 1:]))
     # rounding allowance: 2^10 ulp of the largest term of g_i(p)
     rounding = 2.0**10 * np.finfo(float).eps * (np.abs(Ph) @ np.abs(rows).T).max(axis=1)
     if (violation > 10.0 * tol.nonneg + rounding).all():
@@ -508,13 +513,13 @@ def _sector(d: int, log_modulus: float) -> float:
 
 def _rotation_branch_range(d: int, log_modulus: float, odd: bool) -> list[int]:
     """Branch indices k whose rotation angle, 2k*pi (odd=False) or (2k+1)*pi
-    (odd=True), lies in the generator sector: |angle| <= _sector(d, log_modulus)."""
+    (odd=True), lies in the generator sector, ``_sector``; each beside its mirror."""
     limit = _sector(d, log_modulus)
     ks, n = [], 0 if odd else 1
     while (2 * n + odd) * math.pi <= limit:
         ks.extend([n, -n - odd])
         n += 1
-    return sorted(ks)
+    return ks
 
 
 def _repeated_pair(
@@ -568,6 +573,7 @@ def _repeated_pair(
                     gens.append(cand)
                     continue
             unsettled |= status is not SearchStatus.INFEASIBLE
+        gens.sort(key=lambda g: (g.construction is Construction.HYPERBOLA, g.branch))
 
     if len(gens) > 1:
         return _embeddable(gens, Uniqueness.MULTIPLE_KNOWN, tag)

@@ -11,8 +11,9 @@ near-degenerate roots so that downstream case dispatch sees a discrete
 multiplicity pattern.  For a Markov matrix that polynomial is the one of
 the deflated (d-1)x(d-1) block, at most a cubic with closed-form roots,
 and the eigenvalue 1 is exact.  Jordan block sizes are recovered from
-numerical rank sequences; the ``blocks`` of :func:`jordan_structure` hold
-every clustered eigenvalue, so its callers need no second spectrum.
+one numerical nullity per repeated eigenvalue (two for a fourfold one in
+two blocks); the ``blocks`` of :func:`jordan_structure` hold every
+clustered eigenvalue, so its callers need no second spectrum.
 
 Matrix exponential and principal logarithm delegate to SciPy's
 scaling-and-squaring / inverse-scaling-and-squaring implementations behind
@@ -209,12 +210,9 @@ def _consolidate_multiples(
                 u = u - step
                 if abs(step) < 1e-16 * max(1.0, abs(u)):
                     break
-            ok = (
-                abs(u - mean) <= loose
-                and abs(_poly_eval(ascending, u)) <= value_floor
-            )
+            ok = abs(u - mean) <= loose and abs(_poly_eval(ascending, u)) <= value_floor
             if ok:
-                sv = np.linalg.svd(A.astype(complex) - u * np.eye(d), compute_uv=False)
+                sv = np.linalg.svd(A - (u if u.imag else u.real) * np.eye(d), compute_uv=False)
                 ok = sv[-1] <= 10.0 * tol.rank * max(sv[0], 1.0)
             regrouped.extend([u] * m if ok else group)
         out = regrouped
@@ -256,45 +254,40 @@ def eigenvalues(M: object, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     return Spectrum(roots=tuple(clusters))
 
 
-def _numerical_rank(B: np.ndarray, tol: Tolerances) -> int:
+def _nullity(B: np.ndarray, tol: Tolerances) -> tuple[int, float]:
+    """Numerical nullity of B below tol.rank * scale, and scale = max(sigma_1, 1)."""
     sv = np.linalg.svd(B, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    threshold = tol.rank * sv[0]
-    ambiguous = [s for s in sv if threshold / 10.0 < s < threshold * 10.0]
-    if ambiguous:
-        raise IllConditionedError(
-            f"singular values {ambiguous} within 10x of rank threshold {threshold:g}"
-        )
-    return int((sv >= threshold).sum())
+    scale = max(sv[0], 1.0)
+    threshold = tol.rank * scale
+    if ambiguous := [s for s in sv if threshold / 10.0 < s < threshold * 10.0]:
+        raise IllConditionedError(f"singular values {ambiguous} within 10x of {threshold:g}")
+    return int((sv < threshold).sum()), scale
 
 
 def jordan_structure(M: object, tol: Tolerances = DEFAULT_TOL) -> JordanStructure:
-    """Block sizes per eigenvalue from the rank sequence of (M - lambda I)^p."""
+    """Block sizes per eigenvalue from one SVD of M - lambda I (real for a
+    real lambda): its nullity n below tol.rank s, s = max(sigma_1, 1), counts
+    the Jordan blocks (Higham, Functions of Matrices, 2008, ch. 1), which
+    fixes a partition of m <= 3 as (m - n + 1, 1, ...); a fourfold lambda in
+    two blocks also takes (M - lambda I)^2, of nullity n + 2 for (2, 2) and
+    n + 1 for (3, 1).  IllConditionedError when n is outside [1, m], or when
+    another eigenvalue mu has |mu - lambda|^m <= 10 tol.rank s^m, which
+    (M - lambda I)^m would count as null."""
     A = as_matrix(M)
-    d = A.shape[0]
-    spec = eigenvalues(A, tol)
-
+    roots = eigenvalues(A, tol).roots
     blocks: list[tuple[complex, tuple[int, ...]]] = []
-    for z, m in spec.roots:
-        if m == 1:
-            blocks.append((z, (1,)))
-            continue
-        B = A.astype(complex) - z * np.eye(d)
-        nullities = [0]
-        P = np.eye(d, dtype=complex)
-        for _ in range(m):
-            P = P @ B
-            nullities.append(d - _numerical_rank(P, tol))
-        ge = [nullities[p] - nullities[p - 1] for p in range(1, m + 1)] + [0]
-        sizes = [p for p in range(m, 0, -1) for _ in range(ge[p - 1] - ge[p])]
-        # the count of blocks of size >= p can only decrease with p, and the
-        # sizes add up to m; a violation means the per-power ranks disagree
-        if any(ge[p] > ge[p - 1] for p in range(1, m)) or ge[0] <= 0 or sum(sizes) != m:
-            raise IllConditionedError(
-                f"inconsistent rank sequence at eigenvalue {z}: nullities {nullities}"
-            )
-        blocks.append((z, tuple(sorted(sizes, reverse=True))))
+    for z, m in roots:
+        sizes = (1,)
+        if m > 1:
+            B = A - (z if z.imag else z.real) * np.eye(len(A))
+            n, scale = _nullity(B, tol)
+            sizes = (m - n + 1,) + (1,) * (n - 1)
+            if m == 4 and n == 2:
+                sizes = {1: (3, 1), 2: (2, 2)}.get(_nullity(B @ B, tol)[0] - n)
+            near = any(abs(w - z) ** m <= 10.0 * tol.rank * scale**m for w, _ in roots if w != z)
+            if not 1 <= n <= m or sizes is None or near:
+                raise IllConditionedError(f"nullity {n} of multiplicity {m} at eigenvalue {z}")
+        blocks.append((z, sizes))
 
     degree = sum(max(sizes) for _, sizes in blocks)
     return JordanStructure(blocks=tuple(blocks), min_poly_degree=degree)

@@ -1,6 +1,7 @@
 import cmath
 import collections
 import math
+import sys
 import time
 
 import mpmath
@@ -41,6 +42,7 @@ from markovembed.embed import (
     _sector,
     _sheet_constraints,
 )
+from markovembed import embed as embed_mod
 from markovembed.kernel import DEFAULT_TOL, scale_of
 
 from conftest import random_generator, random_markov
@@ -438,6 +440,11 @@ class TestEqualInputNegative:
         assert res.verdict is Verdict.EMBEDDABLE
         assert len(res.generators) == 3
         assert res.uniqueness is Uniqueness.MULTIPLE_KNOWN
+        # the principal logarithm first, then the rotations by ascending k,
+        # although the searches run each branch beside its mirror
+        assert [(g.construction, g.branch) for g in res.generators] == [
+            (Construction.POLY_SMT, 0), (Construction.HYPERBOLA, -1), (Construction.HYPERBOLA, 1)
+        ]
         assert min(np.abs(g.matrix - 2 * qp).max() for g in res.generators) < 1e-8
         c = 1 - math.exp(-2 * PI_SQRT3)
         q_ei = (-math.log1p(-c) / c) * (M2 - np.eye(3))
@@ -922,6 +929,112 @@ class TestSheetCandidates:
             perm = rng.permutation(len(rows))
             assert hyperbola_search(rows[perm], DEFAULT_TOL)[0] is status
         assert seen[SearchStatus.FOUND] >= 30 and seen[SearchStatus.INFEASIBLE] >= 30
+
+    @staticmethod
+    def outcome(result):
+        status, point = result
+        return status, None if point is None else np.array([point.x, point.y, point.z]).tobytes()
+
+    def test_mirror_search_reuses_its_twin_to_the_bit(self, monkeypatch):
+        # the rows of rotation branch k and of its mirror, whose angle is
+        # -angle, are (f, n) and (f, -n); a search on the mirror right after
+        # its twin takes the candidates solved in the twin's pass, and must
+        # return what a search on it alone returns, to the bit
+        solves, sheet_roots = [], embed_mod._sheet_roots
+        monkeypatch.setattr(
+            embed_mod, "_sheet_roots", lambda *a: solves.append(a) or sheet_roots(*a)
+        )
+
+        def alone(rows):
+            monkeypatch.setattr(embed_mod, "_mirror", (b"", None))
+            return self.outcome(hyperbola_search(rows, DEFAULT_TOL))
+
+        rng = np.random.default_rng(11)
+        angles = rng.uniform(0.5, 4.0, 150)
+        systems = [random_sheet_system(rng) * (1.0, a, a, a) for a in angles]
+        # and the rows of decisions, whose structured entries make sums cancel to 0
+        search = embed_mod.hyperbola_search
+        monkeypatch.setattr(
+            embed_mod, "hyperbola_search", lambda r, tol: systems.append(r) or search(r, tol)
+        )
+        for ray, f in ((0.372, 0.373, 0.255), 1.7905), ((0.5, 0.3, 0.2), 2.0), ((1.0,) * 3, 1.5):
+            decide(lifted_equal_input(ray, f), all_branches=True)
+        decide(np.kron(np.eye(2), kendall_block(0.4, 0.60001)), all_branches=True)
+        assert len(systems) > 150
+        seen = collections.Counter()
+        for i, rows in enumerate(systems):
+            mirror = rows * (1.0, -1.0, -1.0, -1.0)
+            expected = alone(mirror)
+            seen[expected[0]] += 1
+            alone(rows)
+            count = len(solves)
+            assert self.outcome(hyperbola_search(mirror, DEFAULT_TOL)) == expected
+            assert len(solves) == count
+            # permuted or unrelated rows are never served from the memo
+            for other in (mirror[np.roll(np.arange(len(rows)), 1)], systems[i - 1]):
+                if other.tobytes() == mirror.tobytes():
+                    continue  # a decision's twin, or rows that a shift leaves as they are
+                expected = alone(other)
+                alone(rows)
+                count = len(solves)
+                assert self.outcome(hyperbola_search(other, DEFAULT_TOL)) == expected
+                assert len(solves) == count + 1
+        assert seen[SearchStatus.FOUND] >= 10 and seen[SearchStatus.INFEASIBLE] >= 10, seen
+
+
+class TestRepeatedPairWork:
+    """What a repeated-pair decision computes: one SVD per repeated
+    eigenvalue in the analysis, one per eigenspace pool in the similarity,
+    and one line solve per mirrored pair of rotation branches."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Counters of the SVDs by calling function, and of the two search stages."""
+        svds, calls = collections.Counter(), collections.Counter()
+        svd, search, sheet_roots = np.linalg.svd, embed_mod.hyperbola_search, embed_mod._sheet_roots
+
+        def counted_svd(*args, **kwargs):
+            svds[sys._getframe(1).f_code.co_name] += 1
+            return svd(*args, **kwargs)
+
+        def counted_search(rows, tol):
+            calls["hyperbola_search"] += 1
+            return search(rows, tol)
+
+        def counted_roots(*args):
+            calls["_sheet_roots"] += 1
+            return sheet_roots(*args)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(embed_mod, "hyperbola_search", counted_search)
+        monkeypatch.setattr(embed_mod, "_sheet_roots", counted_roots)
+        return svds, calls
+
+    @pytest.mark.parametrize("ray, f", [((0.372, 0.373, 0.255), 1.7905), ((0.5, 0.3, 0.2), 2.0)])
+    def test_svds_of_an_equal_input_block_and_its_lift(self, ray, f, monkeypatch):
+        svds, _calls = self.counted(monkeypatch)
+        M = lifted_equal_input(ray, f)
+        # the lift 1 (+) E has 1 and lambda < 0 double: 5 SVDs (7 with a rank
+        # sequence per power); the block E has lambda double: 3 (4)
+        for A, pattern, repeated in (
+            (M, Pattern.D4_DEG2_DOUBLE_NEG, 2), (M[1:, 1:], Pattern.D3_DEG2_1_L_L_NEG, 1)
+        ):
+            svds.clear()
+            res = decide(A, all_branches=True)
+            assert res.case.pattern is pattern and res.verdict is Verdict.EMBEDDABLE
+            assert svds == {"_consolidate_multiples": 1, "_nullity": repeated, "pool": repeated}
+            assert sum(svds.values()) == (5 if len(A) == 4 else 3)
+
+    @pytest.mark.parametrize("lam, searches", [(-0.02, 2), (-1e-5, 4)])
+    def test_one_line_solve_per_mirrored_pair_of_branches(self, lam, searches, monkeypatch):
+        # two Kendall blocks sharing lambda < 0: branches k = 0, -1, and for
+        # |log |lambda|| >= 3 pi also 1, -2; each mirror reuses its twin's lines
+        _svds, calls = self.counted(monkeypatch)
+        M = np.kron(np.eye(2), kendall_block(0.3 * (1 - lam), 0.7 * (1 - lam)))
+        res = decide(M, all_branches=True)
+        assert res.case.pattern is Pattern.D4_DEG2_DOUBLE_NEG
+        assert calls["hyperbola_search"] == searches
+        assert calls["_sheet_roots"] == searches // 2
 
 
 class TestD4Dispatch:

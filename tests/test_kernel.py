@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from markovembed import (
     DimensionError,
+    IllConditionedError,
     SpectrumOnCutError,
     Tolerances,
     as_matrix,
@@ -206,6 +208,39 @@ class TestJordan:
             js = jordan_structure(M)
             at_one = [sizes for z, sizes in js.blocks if z == 1.0]
             assert len(at_one) == 1 and set(at_one[0]) == {1}
+
+    # a fixed, well-conditioned similarity (condition number 1.6)
+    T = np.eye(4) + 0.25 * np.array([[1, 2, 0, -1], [0, 1, 1, 2], [-1, 0, 2, 1], [2, -1, 0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "sizes", [(3,), (2, 1), (1, 1, 1), (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    )
+    def test_every_partition_from_one_nullity(self, sizes, monkeypatch):
+        # T J T^-1, non-Markov, with lambda = 0.6 of multiplicity 3 (beside a
+        # simple 0.2) or 4: one SVD of M - lambda I counts the blocks, which
+        # fixes every partition of 3; of 4 in two blocks, (2, 2) and (3, 1)
+        # take a second SVD, of (M - lambda I)^2
+        blocks = [0.6 * np.eye(s) + np.eye(s, k=1) for s in sizes]
+        expected = [(0.6, sizes)] + ([(0.2, (1,))] if sum(sizes) == 3 else [])
+        J = scipy.linalg.block_diag(*blocks, *([[0.2]] if sum(sizes) == 3 else []))
+        M = self.T @ J @ np.linalg.inv(self.T)
+        shifts, nullity = [], kernel_mod._nullity
+        monkeypatch.setattr(kernel_mod, "_nullity", lambda B, t: shifts.append(B) or nullity(B, t))
+        js = jordan_structure(M)
+        assert [s for _z, s in js.blocks] == [s for _lam, s in expected]
+        assert all(abs(z - lam) <= 1e-9 for (z, _), (lam, _) in zip(js.blocks, expected))
+        assert js.min_poly_degree == sum(max(s) for _lam, s in expected)
+        assert len(shifts) == (2 if sizes in ((2, 2), (3, 1)) else 1)
+        assert not any(np.iscomplexobj(B) for B in shifts)  # a real lambda, real arithmetic
+
+    def test_cluster_of_distinct_roots_has_no_block(self):
+        # two distinct eigenvalues 10 +- 3e-8 cluster (spec_cluster relative to
+        # the radius 10), but M - 10 I has full rank: nullity 0 is no partition
+        R = np.array([[1.0, 0.5], [0.25, 1.0]])
+        M = R @ np.diag([10.0 + 3e-8, 10.0 - 3e-8]) @ np.linalg.inv(R)
+        assert [m for _z, m in eigenvalues(M).roots] == [2]
+        with pytest.raises(IllConditionedError, match="nullity 0"):
+            jordan_structure(M)
 
 
 class TestMatExp:
