@@ -159,16 +159,8 @@ def _case_tag(js: JordanStructure) -> CaseTag:
     return CaseTag(dim, js.min_poly_degree, pattern, eigen)
 
 
-@dataclasses.dataclass(frozen=True)
-class Analysis:
-    """One matrix's Jordan structure and the case it selects."""
-
-    jordan: JordanStructure
-    tag: CaseTag
-
-
-def analyse(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Analysis:
-    """Jordan structure and case pattern of a validated Markov array.
+def analyse(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[JordanStructure, CaseTag]:
+    """Jordan structure and case tag of a validated Markov array.
 
     Raises as :func:`classify` does.  It validates nothing: the caller has
     already checked that ``A`` comes from :func:`as_matrix` and passes the
@@ -181,7 +173,11 @@ def analyse(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Analysis:
     for z, _sizes in js.blocks:
         if abs(z) > 1.0 + 100.0 * tol.spec_cluster:
             raise IllConditionedError(f"computed eigenvalue {z} outside the unit disk")
-    return Analysis(jordan=js, tag=_case_tag(js))
+    # the rank rule also calls M - I null for an M just off the identity,
+    # whose multiplicities it cannot resolve; the identity pattern is I's
+    if js.min_poly_degree == 1 and (A != np.eye(len(A))).any():
+        raise IllConditionedError("identity pattern of a matrix other than I")
+    return js, _case_tag(js)
 
 
 def classify(M: object, tol: Tolerances = DEFAULT_TOL) -> CaseTag:
@@ -189,13 +185,14 @@ def classify(M: object, tol: Tolerances = DEFAULT_TOL) -> CaseTag:
 
     Raises :class:`IllConditionedError` (propagated from the Jordan
     analysis) when multiplicity decisions sit too close to the rank
-    threshold, and :class:`ClassificationError` for Jordan data no Markov
-    matrix can produce.
+    threshold or M - I is null at it without M = I, and
+    :class:`ClassificationError` for Jordan data no Markov matrix can
+    produce.
     """
     A = as_matrix(M)
     if not _is_markov(A, tol):
         raise ValueError("classify expects a Markov matrix")
-    return analyse(A, tol).tag
+    return analyse(A, tol)[1]
 
 
 def sign_screen(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, bool]:

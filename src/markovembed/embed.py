@@ -43,12 +43,14 @@ from .kernel import (
     DEFAULT_TOL,
     Tolerances,
     _is_markov,
+    _null_space,
     _poly_in,
     as_matrix,
     is_generator,
     mat_exp,
     scale_of,
 )
+
 
 class Verdict(enum.Enum):
     EMBEDDABLE = "Embeddable"
@@ -290,10 +292,8 @@ def _pair_decomposition(
 
     def pool(lam: float) -> list[np.ndarray]:
         if lam not in pools:
-            _u, sv, vh = np.linalg.svd(M - lam * np.eye(d))
-            # the null directions, or else the smallest singular one
-            null = sv < (tol.rank * sv[0] if sv[0] > 0 else np.inf)
-            ns = (vh[null] if null.any() else vh[-1:]).T
+            vh, n, _scale = _null_space(M - lam * np.eye(d), tol)
+            ns = vh[len(vh) - max(n, 1) :].T  # the null directions, or else the smallest one
             if lam == 1.0:
                 u = ones / math.sqrt(d)
                 ns = ns - np.outer(u, u @ ns)
@@ -743,11 +743,10 @@ def decide(
             return _not_embeddable(Reason.TRANSITIVITY_VIOLATION)
 
     try:
-        analysis = analyse(A, tol)
+        js, tag = analyse(A, tol)
     except (IllConditionedError, ClassificationError):
         return _undecided(Reason.ILL_CONDITIONED)
-    tag = analysis.tag
-    unit_circle_ok, culver_ok = spectral_screen(analysis.jordan.blocks, det, tol)
+    unit_circle_ok, culver_ok = spectral_screen(js.blocks, det, tol)
     if not unit_circle_ok:
         return _not_embeddable(Reason.UNIT_CIRCLE_EIGENVALUE, tag)
     if not culver_ok:

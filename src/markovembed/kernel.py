@@ -73,13 +73,6 @@ class Spectrum:
 
     roots: tuple[tuple[complex, int], ...]
 
-    def values(self) -> list[complex]:
-        """Eigenvalues repeated by multiplicity."""
-        out: list[complex] = []
-        for z, m in self.roots:
-            out.extend([z] * m)
-        return out
-
 
 @dataclasses.dataclass(frozen=True)
 class JordanStructure:
@@ -254,25 +247,30 @@ def eigenvalues(M: object, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     return Spectrum(roots=tuple(clusters))
 
 
-def _nullity(B: np.ndarray, tol: Tolerances) -> tuple[int, float]:
-    """Numerical nullity of B below tol.rank * scale, and scale = max(sigma_1, 1)."""
-    sv = np.linalg.svd(B, compute_uv=False)
+def _null_space(B: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, float]:
+    """The rank rule for B = A - lambda I: right singular vectors (rows, by
+    descending singular value), nullity n (the last n rows span the null
+    space) and s = max(sigma_1, 1), floored so a B of rounding noise is null.
+    Null below tol.rank s; IllConditionedError within 10x of that threshold."""
+    _u, sv, vh = np.linalg.svd(B)
     scale = max(sv[0], 1.0)
     threshold = tol.rank * scale
-    if ambiguous := [s for s in sv if threshold / 10.0 < s < threshold * 10.0]:
-        raise IllConditionedError(f"singular values {ambiguous} within 10x of {threshold:g}")
-    return int((sv < threshold).sum()), scale
+    ambiguous = [s for s in sv if threshold / 10.0 < s < threshold * 10.0]
+    if ambiguous:
+        raise IllConditionedError(
+            f"singular values {ambiguous} within 10x of rank threshold {threshold:g}"
+        )
+    return vh, int((sv < threshold).sum()), scale
 
 
 def jordan_structure(M: object, tol: Tolerances = DEFAULT_TOL) -> JordanStructure:
-    """Block sizes per eigenvalue from one SVD of M - lambda I (real for a
-    real lambda): its nullity n below tol.rank s, s = max(sigma_1, 1), counts
-    the Jordan blocks (Higham, Functions of Matrices, 2008, ch. 1), which
-    fixes a partition of m <= 3 as (m - n + 1, 1, ...); a fourfold lambda in
-    two blocks also takes (M - lambda I)^2, of nullity n + 2 for (2, 2) and
-    n + 1 for (3, 1).  IllConditionedError when n is outside [1, m], or when
-    another eigenvalue mu has |mu - lambda|^m <= 10 tol.rank s^m, which
-    (M - lambda I)^m would count as null."""
+    """Block sizes per eigenvalue: the nullity n of M - lambda I (real for a
+    real lambda) under :func:`_null_space`'s rule counts the Jordan blocks
+    (Higham, Functions of Matrices, 2008, ch. 1), (m - n + 1, 1, ...) for a
+    multiplicity m <= 3; four in two blocks are (2, 2) where (M - lambda I)^2
+    is null, (3, 1) where its nullity is 3.  IllConditionedError for any other
+    count, or for another eigenvalue mu with |mu - lambda|^m <= 10 tol.rank
+    s^m, a gap that (M - lambda I)^m would count null or ambiguous."""
     A = as_matrix(M)
     roots = eigenvalues(A, tol).roots
     blocks: list[tuple[complex, tuple[int, ...]]] = []
@@ -280,13 +278,17 @@ def jordan_structure(M: object, tol: Tolerances = DEFAULT_TOL) -> JordanStructur
         sizes = (1,)
         if m > 1:
             B = A - (z if z.imag else z.real) * np.eye(len(A))
-            n, scale = _nullity(B, tol)
+            _vh, n, scale = _null_space(B, tol)
+            if not 1 <= n <= m:
+                raise IllConditionedError(f"nullity {n} of multiplicity {m} at eigenvalue {z}")
             sizes = (m - n + 1,) + (1,) * (n - 1)
             if m == 4 and n == 2:
-                sizes = {1: (3, 1), 2: (2, 2)}.get(_nullity(B @ B, tol)[0] - n)
-            near = any(abs(w - z) ** m <= 10.0 * tol.rank * scale**m for w, _ in roots if w != z)
-            if not 1 <= n <= m or sizes is None or near:
-                raise IllConditionedError(f"nullity {n} of multiplicity {m} at eigenvalue {z}")
+                squared = _null_space(B @ B, tol)[1]
+                if squared not in (3, 4):
+                    raise IllConditionedError(f"nullity {squared} of (M - lambda I)^2 at {z}")
+                sizes = (2, 2) if squared == 4 else (3, 1)
+            if any(abs(w - z) ** m <= 10.0 * tol.rank * scale**m for w, _ in roots if w != z):
+                raise IllConditionedError(f"an eigenvalue within the rank band of {z}")
         blocks.append((z, sizes))
 
     degree = sum(max(sizes) for _, sizes in blocks)

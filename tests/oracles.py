@@ -108,6 +108,11 @@ def series_log(M: np.ndarray, max_terms: int = 10000, tol: float = 1e-16) -> np.
     raise RuntimeError("series did not converge; spectral radius too large")
 
 
+def repeated(spectrum) -> list[complex]:
+    """A clustered spectrum's eigenvalues, each repeated by its multiplicity."""
+    return [z for z, m in spectrum.roots for _ in range(m)]
+
+
 def match_spectra(a, b) -> float:
     """Greedy max-distance between two eigenvalue multisets."""
     rem = list(b)

@@ -164,16 +164,17 @@ def d2_corpus(seed=23):
 
 class TestNearIdentity:
     """Inputs past the residual tolerance of the identity but inside the
-    clustering band around it.  The analysis gives an identity pattern only
-    when rank(M - I) = 0, that is for M = I, which the identity shortcut
-    takes first; every other input must still come back with a result."""
+    clustering band around it.  Where M - I is null at the rank threshold
+    (entries below about tol.rank) the Jordan analysis reads the identity's
+    blocks, but the identity pattern is I's alone; every input must still
+    come back with a result, never NotEmbeddable and never identity-tagged."""
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_decided_or_undecided_never_raised(self, d):
         rng = np.random.default_rng(41 + d)
         tight = Tolerances(residual=1e-12)
         verdicts = collections.Counter()
-        for tol, scales in ((tight, (3e-10, 1e-9, 1.5e-9)), (DEFAULT_TOL, (3e-8, 1e-7))):
+        for tol, scales in ((tight, (1e-11, 3e-10, 1e-9, 1.5e-9)), (DEFAULT_TOL, (3e-8, 1e-7))):
             for scale in scales:
                 for _ in range(15):
                     # I + scale Q, exp(scale Q) to first order, with every rate
@@ -189,6 +190,23 @@ class TestNearIdentity:
                     verdicts[res.verdict] += 1
         # inside the band the multiplicities are unresolvable: ILL_CONDITIONED
         assert verdicts[Verdict.UNDECIDED] > 0, verdicts
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_identity_blocks_past_the_residual_gap(self, d):
+        # every off-diagonal entry 1e-11: M - I is null at the rank threshold,
+        # so the Jordan analysis reads the identity's blocks, yet M is not I
+        # and the zero generator misses residual = 1e-12
+        tight = Tolerances(residual=1e-12)
+        M = np.full((d, d), 1e-11)
+        np.fill_diagonal(M, 1.0 - (d - 1) * 1e-11)
+        assert jordan_structure(M, tight).blocks == ((1.0, (1,) * d),)
+        with pytest.raises(IllConditionedError, match="identity pattern"):
+            classify(M, tight)
+        assert classify(np.eye(d), tight).pattern.name == f"D{d}_IDENTITY"
+        res = decide(M, tight)
+        assert (res.verdict, res.reason, res.case) == (
+            Verdict.UNDECIDED, Reason.ILL_CONDITIONED, None
+        )
 
 
 CONFLUENT_PATTERNS = {
@@ -994,7 +1012,10 @@ class TestRepeatedPairWork:
         svd, search, sheet_roots = np.linalg.svd, embed_mod.hyperbola_search, embed_mod._sheet_roots
 
         def counted_svd(*args, **kwargs):
-            svds[sys._getframe(1).f_code.co_name] += 1
+            frame = sys._getframe(1)
+            if frame.f_code.co_name == "_null_space":  # the rank rule, counted for its caller
+                frame = frame.f_back
+            svds[frame.f_code.co_name] += 1
             return svd(*args, **kwargs)
 
         def counted_search(rows, tol):
@@ -1022,7 +1043,7 @@ class TestRepeatedPairWork:
             svds.clear()
             res = decide(A, all_branches=True)
             assert res.case.pattern is pattern and res.verdict is Verdict.EMBEDDABLE
-            assert svds == {"_consolidate_multiples": 1, "_nullity": repeated, "pool": repeated}
+            assert svds == {"_consolidate_multiples": 1, "jordan_structure": repeated, "pool": repeated}
             assert sum(svds.values()) == (5 if len(A) == 4 else 3)
 
     @pytest.mark.parametrize("lam, searches", [(-0.02, 2), (-1e-5, 4)])

@@ -9,9 +9,12 @@ import scipy.linalg
 from markovembed import (
     DimensionError,
     IllConditionedError,
+    Reason,
     SpectrumOnCutError,
     Tolerances,
+    Verdict,
     as_matrix,
+    decide,
     eigenvalues,
     is_generator,
     is_markov,
@@ -22,7 +25,13 @@ from markovembed import (
 )
 
 from conftest import random_generator, random_markov
-from oracles import match_spectra, qr_eigenvalues, reference_consolidate_multiples, series_log
+from oracles import (
+    match_spectra,
+    qr_eigenvalues,
+    reference_consolidate_multiples,
+    repeated,
+    series_log,
+)
 
 kernel_mod = importlib.import_module("markovembed.kernel")
 
@@ -64,14 +73,14 @@ class TestEigenvalues:
             ]
         )
         expected = [1.0, 1 - 2 * (x + z), 1 - 2 * (y + z), 1 - 2 * (x + y)]
-        got = eigenvalues(M).values()
+        got = repeated(eigenvalues(M))
         assert match_spectra(expected, got) < 1e-12
 
     def test_agrees_with_qr_oracle(self, rng):
         for d in (2, 3, 4):
             for _ in range(1000):
                 M = random_markov(rng, d)
-                got = eigenvalues(M).values()
+                got = repeated(eigenvalues(M))
                 want = qr_eigenvalues(M)
                 scale = max(1.0, max(abs(z) for z in want))
                 assert match_spectra(want, got) <= 1e-9 * scale
@@ -94,7 +103,7 @@ class TestEigenvalues:
         M = mat_exp(Q)
         with mp.workdps(40):
             ref, _ = mp.eig(mp.matrix(M.tolist()))
-        assert match_spectra([complex(z) for z in ref], eigenvalues(M).values()) <= 1e-9
+        assert match_spectra([complex(z) for z in ref], repeated(eigenvalues(M))) <= 1e-9
 
     def test_conjugate_symmetry(self, rng):
         for _ in range(500):
@@ -224,8 +233,10 @@ class TestJordan:
         expected = [(0.6, sizes)] + ([(0.2, (1,))] if sum(sizes) == 3 else [])
         J = scipy.linalg.block_diag(*blocks, *([[0.2]] if sum(sizes) == 3 else []))
         M = self.T @ J @ np.linalg.inv(self.T)
-        shifts, nullity = [], kernel_mod._nullity
-        monkeypatch.setattr(kernel_mod, "_nullity", lambda B, t: shifts.append(B) or nullity(B, t))
+        shifts, null_space = [], kernel_mod._null_space
+        monkeypatch.setattr(
+            kernel_mod, "_null_space", lambda B, t: shifts.append(B) or null_space(B, t)
+        )
         js = jordan_structure(M)
         assert [s for _z, s in js.blocks] == [s for _lam, s in expected]
         assert all(abs(z - lam) <= 1e-9 for (z, _), (lam, _) in zip(js.blocks, expected))
@@ -241,6 +252,34 @@ class TestJordan:
         assert [m for _z, m in eigenvalues(M).roots] == [2]
         with pytest.raises(IllConditionedError, match="nullity 0"):
             jordan_structure(M)
+
+    @staticmethod
+    def sparse_round_trip(index):
+        """Draw ``index`` of a seeded sparse round-trip corpus: exp(Q) for
+        d in {3, 4}, off-diagonal rates U(0, 1) each zeroed with probability
+        1/2, all scaled so that the largest is U(0.5, 12)."""
+        rng, drawn = np.random.default_rng(2024), -1
+        while drawn < index:
+            d = int(rng.choice([3, 4]))
+            R = rng.uniform(0, 1, (d, d)) * (rng.uniform(size=(d, d)) < 0.5)
+            np.fill_diagonal(R, 0.0)
+            if R.any():
+                drawn, s = drawn + 1, rng.uniform(0.5, 12)
+        return scipy.linalg.expm((R - np.diag(R.sum(axis=1))) * (s / R.max()))
+
+    def test_neighbour_in_the_rank_band_raises(self):
+        # exp(Q) with Q's eigenvalues 0, -13.1 and -20.1 +- 0.9i: the pair
+        # clusters into a double root near 1.1e-9 of nullity 1, and the simple
+        # 2e-6 beside it has |mu - lambda|^2 = 4e-12 <= 10 tol.rank, so
+        # (M - lambda I)^2 would not have nullity 2.  Read as a Jordan block,
+        # the round trip of this generator was declared NotEmbeddable.
+        M = self.sparse_round_trip(2248)
+        roots = eigenvalues(M).roots
+        assert [m for _z, m in roots] == [1, 1, 2] and abs(roots[1][0] - 2e-6) < 1e-7
+        with pytest.raises(IllConditionedError, match="rank band"):
+            jordan_structure(M)
+        res = decide(M)
+        assert (res.verdict, res.reason) == (Verdict.UNDECIDED, Reason.ILL_CONDITIONED)
 
 
 class TestMatExp:

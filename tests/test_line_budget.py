@@ -14,8 +14,8 @@ def lines(path: Path) -> int:
 
 
 def test_engine_and_kernel_within_budget():
-    assert lines(SRC / "embed.py") + lines(SRC / "kernel.py") <= 1104
+    assert lines(SRC / "embed.py") + lines(SRC / "kernel.py") <= 1105
 
 
 def test_src_within_budget():
-    assert sum(lines(p) for p in SRC.rglob("*.py")) <= 2799
+    assert sum(lines(p) for p in SRC.rglob("*.py")) <= 2797
