@@ -5,9 +5,9 @@ that holds its Jordan signature: the block sizes of the eigenvalue 1 and
 the kind (real or complex) and block sizes of each other eigenvalue.  The
 patterns drive the decision engine's dispatch, and the same row gives the
 engine each named eigenvalue's index and kind.  The necessary conditions
-screen in two parts: ``entry_screen`` reads the entries alone (det, and
-``sign_screen``'s diagonal and sign pattern, which ``decide`` forms only
-for det > 0) before any spectral work; ``analyse`` is the one analysis
+screen in two parts: the entries alone (det, and ``sign_screen``'s
+diagonal and sign pattern, which ``decide`` forms only for det > 0) before
+any spectral work; ``analyse`` is the one analysis
 pass (a single ``jordan_structure``, which computes the spectrum once,
 and the case lookup on it), and ``spectral_screen`` reads its eigenvalues
 and block sizes.  ``classify`` and ``necessary_checks`` are their
@@ -196,16 +196,16 @@ def classify(M: object, tol: Tolerances = DEFAULT_TOL) -> CaseTag:
 
 
 def sign_screen(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, bool]:
-    """A positive diagonal and a transitive sign pattern.  P = (A > tol.nonneg)
-    is transitive (m_ik > 0 and m_kj > 0 imply m_ij > 0) when the boolean
-    product P P lies inside P."""
-    positive = A > tol.nonneg
-    return bool(positive.diagonal().all()), not (positive @ positive > positive).any()
+    """A positive diagonal and a transitive sign pattern (m_ik, m_kj > 0 imply
+    m_ij > 0), an entry counting as positive above tol.nonneg."""
+    if min(A.ravel().tolist()) > tol.nonneg:
+        return True, True
+    return _sign_flags(A > tol.nonneg)
 
 
-def entry_screen(A: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[float, bool, bool]:
-    """det(A) and the two flags of :func:`sign_screen`, from the entries alone."""
-    return (float(np.linalg.det(A)), *sign_screen(A, tol))
+def _sign_flags(P: np.ndarray) -> tuple[bool, bool]:
+    """A positive diagonal and transitivity (P P inside P) of a sign pattern P."""
+    return bool(P.diagonal().all()), not (P @ P > P).any()
 
 
 def spectral_screen(blocks, det: float, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, bool]:
@@ -234,7 +234,7 @@ def necessary_checks(M: object, tol: Tolerances = DEFAULT_TOL) -> NecessaryRepor
     The Jordan analysis runs only for a nonsingular M.
     """
     A = as_matrix(M)
-    det, diag_positive, transitive = entry_screen(A, tol)
+    det, diag_positive, transitive = float(np.linalg.det(A)), *sign_screen(A, tol)
     if det != 0.0:
         blocks = jordan_structure(A, tol).blocks
     else:

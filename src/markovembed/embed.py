@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .classify import _NAMED, CaseTag, Pattern, analyse, sign_screen, spectral_screen
+from .classify import _NAMED, CaseTag, Pattern, _sign_flags, analyse, sign_screen, spectral_screen
 from .errors import (
     ClassificationError,
     DegenerateDenominatorError,
@@ -276,7 +276,7 @@ def eq_input_extremal_generators(
 
 
 def _pair_decomposition(
-    M: np.ndarray, fixed_eigs: list[float], pair_value: float, tol: Tolerances
+    M: np.ndarray, fixed_eigs: list[float], pair_value: float, tol: Tolerances, null_spaces: dict
 ) -> np.ndarray:
     """Real similarity T with the repeated-pair eigenspace in its last two
     columns, so inv(T) M T is diagonal.
@@ -284,38 +284,29 @@ def _pair_decomposition(
     The first column is the all-ones eigenvector, so any log candidate
     assembled in this basis has zero row sums by construction.  Directions
     for eigenvalues appearing more than once are drawn from one orthonormal
-    pool per eigenvalue (the pair reserves the first two).
-    """
+    pool per eigenvalue (the pair takes the first two): the null space of
+    M - lambda I, from the Jordan analysis's SVD in ``null_spaces`` or, for
+    a simple eigenvalue, from one of its own."""
     d = M.shape[0]
     ones = np.ones(d)
-    pools: dict[float, list[np.ndarray]] = {}
 
     def pool(lam: float) -> list[np.ndarray]:
-        if lam not in pools:
-            vh, n, _scale = _null_space(M - lam * np.eye(d), tol)
-            ns = vh[len(vh) - max(n, 1) :].T  # the null directions, or else the smallest one
-            if lam == 1.0:
-                u = ones / math.sqrt(d)
-                ns = ns - np.outer(u, u @ ns)
-                q, r = np.linalg.qr(ns)
-                ns = q[:, np.abs(np.diag(r)) > 1e-8]
-            # each direction signed so that its entry of largest modulus is >= 0
-            pools[lam] = [v if v[int(np.argmax(np.abs(v)))] >= 0 else -v for v in ns.T]
-        return pools[lam]
+        vh, n = null_spaces.get(lam) or _null_space(M - lam * np.eye(d), tol)[:2]
+        ns = vh[len(vh) - max(n, 1) :].T  # the null directions, or else the smallest one
+        if lam == 1.0:
+            u = ones / math.sqrt(d)
+            ns = ns - np.outer(u, u @ ns)
+            q, r = np.linalg.qr(ns)
+            ns = q[:, np.abs(np.diag(r)) > 1e-8]
+        # each direction signed so that its entry of largest modulus is >= 0
+        return [v if v[int(np.argmax(np.abs(v)))] >= 0 else -v for v in ns.T]
 
-    if len(pool(pair_value)) < 2:
-        raise IllConditionedError("pair eigenspace not numerically two-dimensional")
-    pair_cols = pool(pair_value)[:2]
-    counters = {pair_value: 2}
-    columns = [ones]
-    for lam in fixed_eigs:
-        i = counters.get(lam, 0)
-        counters[lam] = i + 1
-        if i >= len(pool(lam)):
-            raise IllConditionedError("eigenspace deficient for the fixed block")
-        columns.append(pool(lam)[i])
-    columns.extend(pair_cols)
-    return np.column_stack(columns)
+    picks = [pair_value, pair_value, *fixed_eigs]  # one direction each, in pool order
+    pools = {lam: pool(lam) for lam in dict.fromkeys(picks)}
+    if any(picks.count(lam) > len(directions) for lam, directions in pools.items()):
+        raise IllConditionedError("an eigenspace is deficient for the pair or the fixed block")
+    columns = [pools[lam][picks[:i].count(lam)] for i, lam in enumerate(picks)]
+    return np.column_stack([ones, *columns[2:], *columns[:2]])
 
 
 def _sheet_constraints(
@@ -523,7 +514,7 @@ def _rotation_branch_range(d: int, log_modulus: float, odd: bool) -> list[int]:
 
 
 def _repeated_pair(
-    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool
+    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool, null_spaces: dict
 ) -> EmbeddingResult:
     """A repeated eigenvalue pair beside the eigenvalue 1 and, at d=4, one
     more fixed eigenvalue: the tag's other one, the pair's own value for
@@ -554,7 +545,7 @@ def _repeated_pair(
     ks = _rotation_branch_range(d, log_mod, odd=pair < 0.0)
     unsettled = bool(ks)  # rotations neither verified nor ruled out
     if ks and (all_branches or not gens):
-        T = _pair_decomposition(A, fixed, pair, tol)
+        T = _pair_decomposition(A, fixed, pair, tol, null_spaces)
         # fixed log block: 0 for each unit eigenvalue, log(lam) otherwise
         fixed_block = np.diag([0.0] + [0.0 if l == 1.0 else math.log(l) for l in fixed])
         rows = _sheet_constraints(T, fixed_block, log_mod)
@@ -593,7 +584,7 @@ def _repeated_pair(
 
 
 def _principal_only(
-    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool
+    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool, null_spaces: dict
 ) -> EmbeddingResult:
     """Cases where the principal polynomial logarithm is the sole candidate;
     for D3_DEG2_1_1_L and D4_DEG2_TRIPLE_ONE rotations inside the unit
@@ -632,7 +623,7 @@ def _branch_interval(R0: np.ndarray, D: np.ndarray, tol: Tolerances) -> range:
 
 
 def _complex_branches(
-    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool
+    A: np.ndarray, tag: CaseTag, tol: Tolerances, all_branches: bool, null_spaces: dict
 ) -> EmbeddingResult:
     """A complex-conjugate pair (theta beside a real lambda for
     D4_SIMPLE_COMPLEX).  The spectral-mapping coefficients are affine in
@@ -665,9 +656,9 @@ def _complex_branches(
 
 
 # The decision table: one row per non-identity d=3/d=4 pattern, read by
-# ``decide``.  Each decider takes (A, tag, tol, all_branches) with A
-# validated, tag = classify(A) and the tag's real eigenvalues clear of 0
-# and 1.
+# ``decide``.  Each decider takes (A, tag, tol, all_branches, null_spaces)
+# with A validated, tag = classify(A), the tag's real eigenvalues clear of 0
+# and 1, and the null spaces of the Jordan analysis (JordanStructure's).
 _DECIDERS = {
     Pattern.D3_DEG2_1_1_L: _principal_only,
     Pattern.D3_DEG2_1_L_L_POS: _repeated_pair,
@@ -690,6 +681,7 @@ _DECIDERS = {
     Pattern.D4_JORDAN3: _principal_only,
     Pattern.D4_MIXED_JORDAN2: _principal_only,
 }
+_DET_NONPOSITIVE = _not_embeddable(Reason.DET_NONPOSITIVE)  # one object: results are immutable
 
 
 def decide(
@@ -703,8 +695,9 @@ def decide(
     tolerance of the identity.  d=2 takes embed_d2's exact rule, labeled
     from its spectrum {1, m00 - m10}, which it analyses only when m00 - m10
     lies in the clustering band around 1.  For d >= 3 it screens the entries
-    first (det > 0, then a positive diagonal and a transitive sign pattern;
-    these rejections carry case=None, and classify(M) gives the tag),
+    first (det > 0, then a positive diagonal and a transitive sign pattern,
+    rejected on exact zeros and Undecided for entries in (0, tol.nonneg];
+    these results carry case=None, and classify(M) gives the tag),
     analyses the matrix once (spectrum, Jordan structure, case tag), screens
     that for the unit circle and Culver's condition and runs the case
     decider that the decision table holds for its pattern; a conjugate pair
@@ -715,12 +708,14 @@ def decide(
     A = as_matrix(M)
     if not _is_markov(A, tol):
         raise ValueError("decide expects a Markov matrix")
-    d, rows = len(A), A.tolist()
+    d = len(A)
 
-    # inside the residual certificate the zero generator already embeds the
-    # matrix; eigenvalue multiplicities are unresolvable this close to the
-    # identity, so skip classification entirely
-    gap = max(abs(x - (i == j)) for i, row in enumerate(rows) for j, x in enumerate(row))
+    # inside the residual certificate the zero generator embeds the matrix,
+    # whose multiplicities are unresolvable this close to I: no classification.
+    # 1 - min m_ii, a lower bound of that gap, settles most matrices alone
+    gap = 1.0 - min(A.diagonal().tolist())
+    if gap <= tol.residual:
+        gap = max(abs(x - (i == j)) for i, row in enumerate(A.tolist()) for j, x in enumerate(row))
     if gap <= tol.residual:
         tag = CaseTag(d, 1, getattr(Pattern, f"D{d}_IDENTITY"))
         zero = GeneratorCandidate(np.zeros((d, d)), 0, Construction.PRINCIPAL_LOG, gap)
@@ -729,18 +724,21 @@ def decide(
     if d == 2:
         # the deflated 1x1 block's root, as eigenvalues computes it (+ 0.0 drops
         # a -0.0); analyse labels it D2_SIMPLE inside its disk and apart from 1
-        lam, radius = rows[0][0] - rows[1][0] + 0.0, 1.0 + 100.0 * tol.spec_cluster
+        lam, radius = float(A[0, 0]) - float(A[1, 0]) + 0.0, 1.0 + 100.0 * tol.spec_cluster
         if abs(lam) <= radius and abs(1.0 - lam) > tol.spec_cluster * max(1.0, abs(lam)):
             return _kendall(A, CaseTag(2, 2, Pattern.D2_SIMPLE, {"lambda": lam}), tol)
     else:
         det = float(np.linalg.det(A))  # a nonpositive det needs no sign pattern
         if not det > 0.0:
-            return _not_embeddable(Reason.DET_NONPOSITIVE)
-        diag_positive, transitive = sign_screen(A, tol)
-        if not diag_positive:
-            return _not_embeddable(Reason.ZERO_DIAGONAL)
-        if not transitive:
-            return _not_embeddable(Reason.TRANSITIVITY_VIOLATION)
+            return _DET_NONPOSITIVE
+        if not all(sign_screen(A, tol)):
+            # only exact zeros reject; entries in (0, tol.nonneg] leave it unresolved
+            diag_positive, transitive = _sign_flags(A > 0.0)
+            if not diag_positive:
+                return _not_embeddable(Reason.ZERO_DIAGONAL)
+            if not transitive:
+                return _not_embeddable(Reason.TRANSITIVITY_VIOLATION)
+            return _undecided(Reason.NEAR_BOUNDARY)
 
     try:
         js, tag = analyse(A, tol)
@@ -757,6 +755,6 @@ def decide(
         return _undecided(Reason.NEAR_BOUNDARY, tag)
 
     try:
-        return _DECIDERS[tag.pattern](A, tag, tol, all_branches)
+        return _DECIDERS[tag.pattern](A, tag, tol, all_branches, js.null_spaces)
     except (IllConditionedError, DegenerateDenominatorError):
         return _undecided(Reason.ILL_CONDITIONED, tag)

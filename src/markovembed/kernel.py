@@ -5,15 +5,16 @@ contract (real, finite, square, dimension 2-4).  Every public function
 that takes a matrix validates it with :func:`as_matrix` (``scale_of``
 excepted); the private cores ``_is_markov`` and ``_poly_in`` take an array
 that has already passed it, so a pipeline that validated its input once
-calls those.  Eigenvalues come from
-the roots of a characteristic polynomial, with relative clustering of
-near-degenerate roots so that downstream case dispatch sees a discrete
+calls those.  Eigenvalues come from the roots of a characteristic
+polynomial, with relative clustering of near-degenerate roots (a simple
+spectrum needs none) so that downstream case dispatch sees a discrete
 multiplicity pattern.  For a Markov matrix that polynomial is the one of
 the deflated (d-1)x(d-1) block, at most a cubic with closed-form roots,
-and the eigenvalue 1 is exact.  Jordan block sizes are recovered from
-one numerical nullity per repeated eigenvalue (two for a fourfold one in
-two blocks); the ``blocks`` of :func:`jordan_structure` hold every
-clustered eigenvalue, so its callers need no second spectrum.
+and the eigenvalue 1 is exact.  Jordan block sizes are recovered from one
+SVD of M - lambda I per repeated eigenvalue (two for a fourfold one in two
+blocks); :func:`jordan_structure` keeps every clustered eigenvalue in its
+``blocks`` and those SVDs in its ``null_spaces``, which the repeated-pair
+similarity reuses instead of factoring M - lambda I again.
 
 Matrix exponential and principal logarithm delegate to SciPy's
 scaling-and-squaring / inverse-scaling-and-squaring implementations behind
@@ -80,11 +81,13 @@ class JordanStructure:
 
     ``blocks`` pairs each clustered eigenvalue with its block-size list
     (descending); ``min_poly_degree`` is the sum over eigenvalues of the
-    largest block size.
+    largest block size; ``null_spaces`` maps each repeated eigenvalue to the
+    (vh, nullity) of ``_null_space(M - lambda I)`` that fixed its blocks.
     """
 
     blocks: tuple[tuple[complex, tuple[int, ...]], ...]
     min_poly_degree: int
+    null_spaces: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
 
 def as_matrix(M: object) -> np.ndarray:
@@ -111,10 +114,10 @@ def is_markov(M: object, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def _is_markov(A: np.ndarray, tol: Tolerances) -> bool:
-    # one NumPy reduction, the row sums; comparing Python floats costs less
-    return min(A.ravel().tolist()) >= -tol.nonneg and all(
-        abs(s - 1.0) <= tol.rowsum for s in A.sum(axis=1).tolist()
-    )
+    # one NumPy reduction; s - 1 rounds monotonically in s, so the extreme row sums decide
+    sums = A.sum(axis=1).tolist()
+    worst = max(1.0 - min(sums), max(sums) - 1.0)
+    return min(A.ravel().tolist()) >= -tol.nonneg and worst <= tol.rowsum
 
 
 def is_generator(Q: object, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -130,10 +133,6 @@ def _poly_eval(ascending: list[complex], z: complex) -> complex:
     for c in reversed(ascending):
         acc = acc * z + c
     return acc
-
-
-def _poly_derivative(ascending: list[complex]) -> list[complex]:
-    return [k * ascending[k] for k in range(1, len(ascending))]
 
 
 def _group_by_distance(raw: list[complex], threshold: float) -> list[list[complex]]:
@@ -180,9 +179,7 @@ def _consolidate_multiples(
     value_floor = 1e-13 * max(1.0, float(np.abs(coeffs).max())) * scale**d
 
     out = list(raw)
-    for m in (4, 3, 2):
-        if m > d:
-            continue
+    for m in range(d, 1, -1):  # d <= 4
         loose = _CONSOLIDATION_RADIUS[m] * scale
         regrouped: list[complex] = []
         for group in _group_by_distance(out, loose):
@@ -190,10 +187,10 @@ def _consolidate_multiples(
                 regrouped.extend(group)
                 continue
             mean = sum(group) / m
-            poly = ascending
-            for _ in range(m - 1):
-                poly = _poly_derivative(poly)
-            dpoly = _poly_derivative(poly)
+            derivatives = [ascending]  # p, p', ..., p^(m), coefficients ascending
+            for _ in range(m):
+                derivatives.append([k * c for k, c in enumerate(derivatives[-1])][1:])
+            poly, dpoly = derivatives[m - 1 :]
             u = mean
             for _ in range(12):
                 dv = _poly_eval(dpoly, u)
@@ -232,12 +229,13 @@ def eigenvalues(M: object, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     if markov:
         raw = [1.0 + 0.0j, *raw]
     threshold = tol.spec_cluster * max(1.0, radius)
-    clusters = []
-    for g in _group_by_distance(raw, threshold):
-        mean = sum(g) / len(g)
-        clusters.append((complex(mean.real, 0.0) if abs(mean.imag) <= threshold else mean, len(g)))
-
-    if markov:
+    simple = all(abs(z - w) > threshold for i, z in enumerate(raw) for w in raw[:i])
+    # simple roots are their own clusters, at 0 + z = sum([z]) / 1 (no -0.0)
+    means = [(0 + z, 1) for z in raw] if simple else [
+        (sum(g) / len(g), len(g)) for g in _group_by_distance(raw, threshold)
+    ]
+    clusters = [(complex(z.real, 0.0) if abs(z.imag) <= threshold else z, m) for z, m in means]
+    if markov and not simple:
         # a cluster that merges the deflated 1 with roots of B sits at
         # their mean; the eigenvalue itself is exactly 1
         k = min(range(len(clusters)), key=lambda i: abs(clusters[i][0] - 1.0))
@@ -273,12 +271,15 @@ def jordan_structure(M: object, tol: Tolerances = DEFAULT_TOL) -> JordanStructur
     s^m, a gap that (M - lambda I)^m would count null or ambiguous."""
     A = as_matrix(M)
     roots = eigenvalues(A, tol).roots
+    if len(roots) == len(A):  # a simple spectrum
+        return JordanStructure(tuple((z, (1,)) for z, _m in roots), len(roots))
     blocks: list[tuple[complex, tuple[int, ...]]] = []
+    null_spaces = {}
     for z, m in roots:
         sizes = (1,)
         if m > 1:
             B = A - (z if z.imag else z.real) * np.eye(len(A))
-            _vh, n, scale = _null_space(B, tol)
+            vh, n, scale = _null_space(B, tol)
             if not 1 <= n <= m:
                 raise IllConditionedError(f"nullity {n} of multiplicity {m} at eigenvalue {z}")
             sizes = (m - n + 1,) + (1,) * (n - 1)
@@ -289,10 +290,11 @@ def jordan_structure(M: object, tol: Tolerances = DEFAULT_TOL) -> JordanStructur
                 sizes = (2, 2) if squared == 4 else (3, 1)
             if any(abs(w - z) ** m <= 10.0 * tol.rank * scale**m for w, _ in roots if w != z):
                 raise IllConditionedError(f"an eigenvalue within the rank band of {z}")
+            null_spaces[z] = (vh, n)
         blocks.append((z, sizes))
 
     degree = sum(max(sizes) for _, sizes in blocks)
-    return JordanStructure(blocks=tuple(blocks), min_poly_degree=degree)
+    return JordanStructure(tuple(blocks), degree, null_spaces)
 
 
 def mat_exp(A: object) -> np.ndarray:

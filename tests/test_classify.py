@@ -5,6 +5,8 @@ import itertools
 import math
 
 import numpy as np
+import pytest
+import scipy.linalg
 
 from markovembed import (
     DEFAULT_TOL,
@@ -13,10 +15,12 @@ from markovembed import (
     NecessaryReport,
     Pattern,
     Reason,
+    Tolerances,
     Verdict,
     classify,
     decide,
     eigenvalues,
+    is_generator,
     jordan_structure,
     mat_exp,
     necessary_checks,
@@ -406,8 +410,57 @@ class TestEntryScreens:
             if res.reason is Reason.DET_NONPOSITIVE:
                 assert exact_det(M) <= 0, M
             if res.reason is Reason.TRANSITIVITY_VIOLATION:
-                assert violates_transitivity(M, DEFAULT_TOL.nonneg), M
+                assert violates_transitivity(M, 0.0), M
         assert {Reason.DET_NONPOSITIVE, Reason.TRANSITIVITY_VIOLATION} <= seen
+
+    def test_entries_inside_the_sign_tolerance_leave_the_screens_undecided(self):
+        # I + s Q, Q with rates U(0, 1): for s near 1e-10 some off-diagonal
+        # entries lie in (0, tol.nonneg], where the pattern read at the
+        # tolerance is intransitive and the exact one is not.  Each such
+        # matrix has a verified generator, SciPy's principal logarithm, so a
+        # rejection there would be wrong; it is Undecided with case None
+        rng = np.random.default_rng(77)
+        tight = Tolerances(residual=1e-12)
+        banded = 0
+        for d in (2, 3, 4):
+            for s in np.logspace(-13, -7, 100):
+                for _ in range(3):
+                    Q = rng.uniform(0.0, 1.0, (d, d))
+                    np.fill_diagonal(Q, 0.0)
+                    np.fill_diagonal(Q, -Q.sum(axis=1))
+                    M = np.eye(d) + s * Q
+                    res = decide(M, tight)
+                    assert res.verdict is not Verdict.NOT_EMBEDDABLE, (s, M, res.reason)
+                    if d > 2 and violates_transitivity(M, tight.nonneg):
+                        banded += 1
+                        assert (res.verdict, res.reason, res.case) == (
+                            Verdict.UNDECIDED, Reason.NEAR_BOUNDARY, None
+                        ), (s, M)
+                        L = scipy.linalg.logm(M).real
+                        assert is_generator(L, tight), (s, M)
+                        assert np.abs(scipy.linalg.expm(L) - M).max() <= tight.residual
+        assert banded == 99
+
+    @pytest.mark.parametrize("eps, reason", [
+        (0.0, Reason.ZERO_DIAGONAL), (1e-11, Reason.NEAR_BOUNDARY), (1e-9, None),
+    ])
+    def test_a_zero_diagonal_rejects_only_when_exact(self, eps, reason):
+        # two 2-state blocks with m_00 = eps: det > 0; exact zeros break the
+        # diagonal (and transitivity: 0 -> 1 -> 0), an entry in the band only
+        # the pattern read at the tolerance
+        K = np.array([[eps, 1.0 - eps], [0.5, 0.5]])
+        res = decide(np.kron(np.eye(2), K))
+        # reason None: past the screens, to the analysis
+        assert res.reason is reason if reason else res.case is not None, res
+
+    @pytest.mark.parametrize("eps, reason", [
+        (0.0, Reason.TRANSITIVITY_VIOLATION), (1e-11, Reason.NEAR_BOUNDARY), (1e-9, None),
+    ])
+    def test_transitivity_rejects_only_on_exact_zeros(self, eps, reason):
+        # 0 -> 1 -> 2 with m_02 = eps and exact zeros below the diagonal
+        M = np.array([[0.6 - eps, 0.4, eps], [0.0, 0.7, 0.3], [0.0, 0.0, 1.0]])
+        res = decide(M)
+        assert res.reason is reason if reason else res.case is not None, res
 
     def test_det_rejection_comes_first(self):
         # a matrix failing the det screen together with the diagonal or the

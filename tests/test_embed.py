@@ -819,7 +819,7 @@ class TestHyperbola:
         M = np.eye(4)
         M[1:, 1:] = constant_input(c)
         lam = -(c - 1)
-        dec = _pair_decomposition(M, [1.0], lam, DEFAULT_TOL)
+        dec = _pair_decomposition(M, [1.0], lam, DEFAULT_TOL, {})
         rows = _sheet_constraints(dec, np.zeros((2, 2)), math.log(abs(lam)))
         rows = rows * (1.0, math.pi, math.pi, math.pi)
         status, point = hyperbola_search(rows, DEFAULT_TOL)
@@ -883,7 +883,7 @@ class TestHyperbola:
         M = np.eye(4)
         M[1:, 1:] = constant_input(c)
         lam = -(c - 1)
-        dec = _pair_decomposition(M, [1.0], lam, DEFAULT_TOL)
+        dec = _pair_decomposition(M, [1.0], lam, DEFAULT_TOL, {})
         rows = _sheet_constraints(dec, np.zeros((2, 2)), math.log(abs(lam)))
         status, point = hyperbola_search(rows * (1.0, math.pi, math.pi, math.pi), DEFAULT_TOL)
         assert status is SearchStatus.INCONCLUSIVE and point is None
@@ -1002,8 +1002,9 @@ class TestSheetCandidates:
 
 class TestRepeatedPairWork:
     """What a repeated-pair decision computes: one SVD per repeated
-    eigenvalue in the analysis, one per eigenspace pool in the similarity,
-    and one line solve per mirrored pair of rotation branches."""
+    eigenvalue in the analysis, which the similarity's eigenspace pools
+    reuse (a simple fixed eigenvalue's pool takes its own), and one line
+    solve per mirrored pair of rotation branches."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -1035,16 +1036,41 @@ class TestRepeatedPairWork:
     def test_svds_of_an_equal_input_block_and_its_lift(self, ray, f, monkeypatch):
         svds, _calls = self.counted(monkeypatch)
         M = lifted_equal_input(ray, f)
-        # the lift 1 (+) E has 1 and lambda < 0 double: 5 SVDs (7 with a rank
-        # sequence per power); the block E has lambda double: 3 (4)
+        # the lift 1 (+) E has 1 and lambda < 0 double: 3 SVDs (5 with the
+        # pools' own, 7 with a rank sequence per power); the block E has
+        # lambda double: 2 (3, 4)
         for A, pattern, repeated in (
             (M, Pattern.D4_DEG2_DOUBLE_NEG, 2), (M[1:, 1:], Pattern.D3_DEG2_1_L_L_NEG, 1)
         ):
             svds.clear()
             res = decide(A, all_branches=True)
             assert res.case.pattern is pattern and res.verdict is Verdict.EMBEDDABLE
-            assert svds == {"_consolidate_multiples": 1, "jordan_structure": repeated, "pool": repeated}
-            assert sum(svds.values()) == (5 if len(A) == 4 else 3)
+            assert svds == {"_consolidate_multiples": 1, "jordan_structure": repeated}
+            assert sum(svds.values()) == (3 if len(A) == 4 else 2)
+
+    def test_a_simple_fixed_eigenvalue_takes_its_own_svd(self, monkeypatch):
+        # K (x) K, K a Kendall block with lambda < 0: lambda double beside the
+        # simple lambda^2, whose pool the analysis did not factor
+        svds, _calls = self.counted(monkeypatch)
+        lam = -0.02
+        K = kendall_block(0.3 * (1 - lam), 0.7 * (1 - lam))
+        res = decide(np.kron(K, K), all_branches=True)
+        assert res.case.pattern is Pattern.D4_DEG3_DOUBLE_L2_NEG
+        assert res.reason is Reason.NO_BRANCH_FEASIBLE
+        assert svds == {"_consolidate_multiples": 1, "jordan_structure": 1, "pool": 1}
+
+    @pytest.mark.parametrize("lam", [-0.02, 0.3])
+    def test_similarity_from_the_analysis_svds_matches_its_own_to_the_bit(self, lam):
+        K = kendall_block(0.3 * (1 - lam), 0.7 * (1 - lam))
+        lift = lifted_equal_input((0.5, 0.3, 0.2), 2.0)
+        for M in (np.kron(K, K), np.kron(np.eye(2), K), lift, lift[1:, 1:]):
+            tag = classify(M)
+            *fixed, pair = embed_mod._lams(tag)
+            fixed = fixed or [1.0] * (len(M) - 3)
+            spaces = jordan_structure(M).null_spaces
+            assert pair in spaces
+            T = _pair_decomposition(M, fixed, pair, DEFAULT_TOL, spaces)
+            assert T.tobytes() == _pair_decomposition(M, fixed, pair, DEFAULT_TOL, {}).tobytes()
 
     @pytest.mark.parametrize("lam, searches", [(-0.02, 2), (-1e-5, 4)])
     def test_one_line_solve_per_mirrored_pair_of_branches(self, lam, searches, monkeypatch):

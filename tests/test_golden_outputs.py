@@ -55,8 +55,9 @@ def lift(r, f):
 def corpus(seed=SEED):
     """(key, matrix, all_branches) triples: round trips exp(Q) for d = 2, 3,
     4; uniform Markov matrices and a state permutation of each; lifts of
-    equal-input blocks and 2 (+) 2 Kendall pairs, the repeated-pair cases,
-    decided with and without all branches."""
+    equal-input blocks, 2 (+) 2 Kendall pairs, the equal-input blocks with
+    c > 1, rotation round trips and simple spectra at the clustering
+    threshold, decided with and without all branches."""
     rng = np.random.default_rng(seed)
     out = []
     for d in (2, 3, 4):
@@ -79,8 +80,51 @@ def corpus(seed=SEED):
             M[k:k + 2, k:k + 2] = [[1.0 - a, a], [1.0 - lam - a, lam + a]]
         P = np.eye(4)[rng.permutation(4)]
         pairs.append((f"kendall2x2:{i}", P @ M @ P.T))
+    for i in range(12):
+        r = rng.uniform(0.1, 1.0, 3)
+        f = float(rng.choice([0.5, 1.5, 4.0, 9.0]))
+        pairs.append((f"block:{i}", lift(r / r.sum(), f)[1:, 1:]))
+    # the circulant a C1 + b C2 turns its plane by (a - b) sqrt(3) / 2 = k pi
+    C1 = np.roll(np.eye(3), 1, axis=1) - np.eye(3)
+    C2 = np.roll(np.eye(3), 2, axis=1) - np.eye(3)
+    for i in range(12):
+        b = float(rng.uniform(0.0, 1.5))
+        Q = np.zeros((4, 4))
+        Q[1:, 1:] = (b + 2.0 * math.pi * (1 + i % 2) / math.sqrt(3.0)) * C1 + b * C2
+        P = np.eye(4)[rng.permutation(4)]
+        pairs.append((f"rotation:{i}", scipy.linalg.expm(P @ Q @ P.T)))
+    pairs += near_threshold_spectra(rng)
     out += [(f"{key}:{b}", M, b) for key, M in pairs for b in (False, True)]
     return out
+
+
+def chain(rates):
+    """exp of the pure-death chain i -> i + 1 with the given rates: upper
+    triangular, with eigenvalues 1 and exp(-rate) for each rate."""
+    Q = np.zeros((len(rates) + 1,) * 2)
+    for i, r in enumerate(rates):
+        Q[i, i], Q[i, i + 1] = -r, r
+    return scipy.linalg.expm(Q)
+
+
+def near_threshold_spectra(rng):
+    """Simple spectra whose closest pair of eigenvalues lies 0.5, 1, 1.01
+    and 2 times the clustering threshold (1e-8 for a Markov matrix) apart,
+    each with a state permutation of itself.  A pair below 1 is merged by
+    the consolidation of near-multiple roots; a pair with the eigenvalue 1
+    meets the clustering threshold itself."""
+    out = []
+    for factor in (0.5, 1.0, 1.01, 2.0):
+        gap = factor * 1e-8
+        for r in (0.3, 1.1):
+            s = -math.log(math.exp(-r) + gap)
+            out.append((f"gap{factor}:d3:{r}", chain([r, s])))
+            out.append((f"gap{factor}:d4:{r}", chain([r, 2.0, s])))
+        r = -math.log1p(-gap)
+        out.append((f"gap{factor}:one:d3", chain([r, 0.7])))
+        out.append((f"gap{factor}:one:d4", chain([r, 0.7, 1.9])))
+    perms = [np.eye(len(M))[rng.permutation(len(M))] for _key, M in out]
+    return out + [(f"{key}:perm", P @ M @ P.T) for P, (key, M) in zip(perms, out)]
 
 
 def _hex(v):

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from markovembed import (
+    DEFAULT_TOL,
     DimensionError,
     IllConditionedError,
     Reason,
@@ -25,6 +26,7 @@ from markovembed import (
 )
 
 from conftest import random_generator, random_markov
+from test_golden_outputs import near_threshold_spectra
 from oracles import (
     match_spectra,
     qr_eigenvalues,
@@ -395,6 +397,54 @@ class TestPolyIn:
     def test_too_many_coeffs(self):
         with pytest.raises(ValueError):
             poly_in([1.0, 1.0], np.eye(2))
+
+
+class TestSimpleSpectrumShortcut:
+    def test_spectrum_matches_the_full_clustering(self, monkeypatch):
+        # eigenvalues takes each root as its own cluster when no two (the
+        # exact 1 included) lie within the clustering threshold; the full
+        # path (grouping, per-cluster mean, the cluster nearest 1 set to
+        # exactly 1) must give the same spectrum, bit for bit
+        def bits(roots):
+            return [(z.real.hex(), z.imag.hex(), m) for z, m in roots]
+
+        seen = []
+        consolidate = kernel_mod._consolidate_multiples
+
+        def recording(raw, coeffs, radius, A, tol):
+            seen.append((consolidate(raw, coeffs, radius, A, tol), radius))
+            return seen[-1][0]
+
+        monkeypatch.setattr(kernel_mod, "_consolidate_multiples", recording)
+        rng = np.random.default_rng(23)
+        corpus = consolidation_corpus() + [M for _key, M in near_threshold_spectra(rng)]
+        corpus += [random_markov(rng, d) for d in (2, 3, 4) for _ in range(100)]
+        corpus += [scipy.linalg.expm(random_generator(rng, d)) for d in (3, 4) for _ in range(50)]
+        # two equal rows: a root at -0.0, which the cluster value 0 + z turns into +0.0
+        for d in (3, 4):
+            for _ in range(20):
+                M = random_markov(rng, d)
+                M[1] = M[0]
+                corpus += [M, np.round(rng.uniform(-2.0, 2.0, (d, d)))]
+        simple = 0
+        for A in corpus:
+            seen.clear()
+            spec = eigenvalues(A)
+            ((raw, radius),) = seen
+            markov = is_markov(A)
+            roots = [1.0 + 0.0j, *raw] if markov else raw
+            threshold = DEFAULT_TOL.spec_cluster * max(1.0, radius)
+            clusters = []
+            for g in kernel_mod._group_by_distance(roots, threshold):
+                mean = sum(g) / len(g)
+                clusters.append((complex(mean.real, 0.0) if abs(mean.imag) <= threshold else mean, len(g)))
+            if markov:
+                k = min(range(len(clusters)), key=lambda i: abs(clusters[i][0] - 1.0))
+                clusters[k] = (1.0 + 0.0j, clusters[k][1])
+            clusters.sort(key=lambda zm: (-zm[0].real, zm[0].imag))
+            assert bits(spec.roots) == bits(clusters), A
+            simple += len(clusters) == len(A)
+        assert simple >= 400 and len(corpus) - simple >= 50, (simple, len(corpus))
 
 
 class TestSignChecks:

@@ -17,7 +17,7 @@ from markovembed import (
     is_markov,
     mat_exp,
 )
-from markovembed.classify import entry_screen
+from markovembed.classify import _sign_flags, sign_screen
 
 from oracles import violates_transitivity
 
@@ -53,6 +53,24 @@ def markov_rows(draw, d=3):
 def test_markov_rows_recognised(M):
     assert is_markov(M)
     assert any(z == 1.0 for z, _ in eigenvalues(M).roots)
+
+
+# row-sum offsets on both sides of tol.rowsum, and entries on both sides of -tol.nonneg
+row_offsets = st.sampled_from([0.0, 1e-10, -1e-10, 2e-10, -2e-10]) | st.floats(-3e-10, 3e-10)
+
+
+@given(markov_rows(d=4), st.lists(row_offsets, min_size=4, max_size=4), sign_entries)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_markov_test_matches_every_row(M, offsets, corner):
+    # is_markov reads only the extreme row sums; the definition reads each
+    M = M.copy()
+    M[:, 0] += offsets
+    M[3, 2] = corner
+    sums = M.sum(axis=1).tolist()
+    every_row = M.min() >= -DEFAULT_TOL.nonneg and all(
+        abs(s - 1.0) <= DEFAULT_TOL.rowsum for s in sums
+    )
+    assert is_markov(M) is every_row
 
 
 @given(positive, positive, positive, st.floats(min_value=0.1, max_value=50.0))
@@ -92,6 +110,10 @@ def test_exp_of_poisson_generator(alpha, t):
 @given(sign_patterns())
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_vectorised_transitivity_matches_the_definition(A):
-    _det, diag_positive, transitive = entry_screen(A)
+    diag_positive, transitive = sign_screen(A)
     assert transitive is (not violates_transitivity(A, DEFAULT_TOL.nonneg))
     assert diag_positive is all(A[i, i] > DEFAULT_TOL.nonneg for i in range(len(A)))
+    # the exact pattern that decide's rejections rest on
+    diag_positive, transitive = _sign_flags(A > 0.0)
+    assert transitive is (not violates_transitivity(A, 0.0))
+    assert diag_positive is all(A[i, i] > 0.0 for i in range(len(A)))
