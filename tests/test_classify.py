@@ -441,26 +441,26 @@ class TestEntryScreens:
                         assert np.abs(scipy.linalg.expm(L) - M).max() <= tight.residual
         assert banded == 99
 
-    @pytest.mark.parametrize("eps, reason", [
-        (0.0, Reason.ZERO_DIAGONAL), (1e-11, Reason.NEAR_BOUNDARY), (1e-9, None),
-    ])
-    def test_a_zero_diagonal_rejects_only_when_exact(self, eps, reason):
-        # two 2-state blocks with m_00 = eps: det > 0; exact zeros break the
-        # diagonal (and transitivity: 0 -> 1 -> 0), an entry in the band only
-        # the pattern read at the tolerance
-        K = np.array([[eps, 1.0 - eps], [0.5, 0.5]])
-        res = decide(np.kron(np.eye(2), K))
-        # reason None: past the screens, to the analysis
-        assert res.reason is reason if reason else res.case is not None, res
-
-    @pytest.mark.parametrize("eps, reason", [
-        (0.0, Reason.TRANSITIVITY_VIOLATION), (1e-11, Reason.NEAR_BOUNDARY), (1e-9, None),
-    ])
-    def test_transitivity_rejects_only_on_exact_zeros(self, eps, reason):
-        # 0 -> 1 -> 2 with m_02 = eps and exact zeros below the diagonal
-        M = np.array([[0.6 - eps, 0.4, eps], [0.0, 0.7, 0.3], [0.0, 0.0, 1.0]])
+    @pytest.mark.parametrize("screen", ["diagonal", "transitivity"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-11, 1e-9])
+    def test_entry_screens_reject_only_on_exact_zeros(self, screen, eps):
+        # m_00 = eps in two 2-state blocks (det > 0; an exact zero breaks
+        # transitivity too, 0 -> 1 -> 0), or 0 -> 1 -> 2 with m_02 = eps and
+        # exact zeros below the diagonal
+        if screen == "diagonal":
+            M, rejection = np.kron(np.eye(2), [[eps, 1.0 - eps], [0.5, 0.5]]), Reason.ZERO_DIAGONAL
+        else:
+            M = np.array([[0.6 - eps, 0.4, eps], [0.0, 0.7, 0.3], [0.0, 0.0, 1.0]])
+            rejection = Reason.TRANSITIVITY_VIOLATION
         res = decide(M)
-        assert res.reason is reason if reason else res.case is not None, res
+        if eps == 0.0:
+            assert (res.verdict, res.reason, res.case) == (Verdict.NOT_EMBEDDABLE, rejection, None)
+        elif eps <= DEFAULT_TOL.nonneg:
+            assert (res.verdict, res.reason, res.case) == (
+                Verdict.UNDECIDED, Reason.NEAR_BOUNDARY, None
+            )
+        else:  # past the screens, to the analysis
+            assert res.case is not None, res
 
     def test_det_rejection_comes_first(self):
         # a matrix failing the det screen together with the diagonal or the
